@@ -11,14 +11,11 @@ import random
 import sys
 
 from . import properties as prop_suites
-from .complexes import independence_complex
-from .decomposability import (DEFAULT_SHELLING_FACET_BOUND,
-                              ResourceLimit as VDResourceLimit,
-                              is_vertex_decomposable)
+from .complexes import ComplexError, independence_complex
+from .decomposability import is_vertex_decomposable
 from .fields import FieldSpec
-from .graph import GraphError
-from .ideals import (DEFAULT_ORACLE_AMBIENT_BOUND, IdealError,
-                     ResourceLimit as IdealResourceLimit, betti_oracle,
+from .graph import GraphError, ResourceLimit
+from .ideals import (DEFAULT_ORACLE_AMBIENT_BOUND, IdealError, betti_oracle,
                      betti_recursive_cover, ideal_of)
 from .io import (ParseError, format_graph, graph_to_dot, parse_complex,
                  parse_graph, parse_partition)
@@ -26,8 +23,8 @@ from .poset import FacetPoset, PosetError, count_facets_pi
 from .whisker import KINDS, WhiskerError, build_whiskered, derive_kind
 
 USAGE_ERRORS = (ParseError, WhiskerError, GraphError, PosetError, IdealError,
-                OSError)
-LIMIT_ERRORS = (VDResourceLimit, IdealResourceLimit)
+                ComplexError, OSError)
+LIMIT_ERRORS = (ResourceLimit,)
 
 
 def _read(path: str) -> str:
@@ -99,7 +96,6 @@ def cmd_poset(args, out) -> int:
 
 
 def cmd_betti(args, out) -> int:
-    field = FieldSpec.parse(args.field)
     g = parse_graph(_read(args.graph))
     w = None
     if args.partition:
@@ -108,12 +104,12 @@ def cmd_betti(args, out) -> int:
     target = w.graph if w else g
     tables = {}
     if args.method in ("oracle", "both"):
-        tables["oracle"] = betti_oracle(ideal_of(target, args.ideal), field,
+        tables["oracle"] = betti_oracle(ideal_of(target, args.ideal), args.field,
                                         ambient_bound=args.oracle_bound)
     if args.method in ("recursive", "both"):
         if w is None or args.ideal != "cover":
             raise IdealError("--method recursive needs --partition and the cover ideal")
-        tables["recursive"] = betti_recursive_cover(w, k=field,
+        tables["recursive"] = betti_recursive_cover(w, k=args.field,
                                                     oracle_bound=args.oracle_bound)
     shown = tables.get("oracle", next(iter(tables.values())))
     if args.quotient:
@@ -185,7 +181,8 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--ideal", choices=["cover", "edge"], default="cover")
     s.add_argument("--method", choices=["oracle", "recursive", "both"],
                    default="oracle")
-    s.add_argument("--field", default="2", help="a prime, or 0 for rationals")
+    s.add_argument("--field", type=FieldSpec.parse, default="2",
+                   help="a prime, or 0 for rationals")
     s.add_argument("--quotient", action="store_true",
                    help="report the quotient ring convention")
     s.add_argument("--format", choices=["tsv"], default="tsv")
@@ -205,10 +202,6 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--partition", default=None)
     s.add_argument("--kind", choices=KINDS, default=None)
     s.set_defaults(fn=cmd_export_dot)
-
-    # surfaced for symmetry with the library defaults, currently informational
-    ap.add_argument("--shelling-bound", type=int,
-                    default=DEFAULT_SHELLING_FACET_BOUND, help=argparse.SUPPRESS)
     return ap
 
 

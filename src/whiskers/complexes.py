@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .fields import QQ, FieldSpec, rank_gf2, rank_modp, rank_rational
-from .graph import Graph
+from .graph import Graph, _mask_bits
 
 
 class ComplexError(ValueError):
@@ -202,45 +202,55 @@ class SimplicialComplex:
         """
         if self.is_void:
             return {}
-        return homology_of_faces(self.faces(), k)
+        faces: set[int] = set()
+        for f in self.facets:
+            m = sum(1 << self._pos[v] for v in f)
+            if m not in faces:
+                faces.update(_subsets_of(m))
+        return _homology_masks(faces, k)
 
 
-def homology_of_faces(faces: set[frozenset[str]], k: FieldSpec) -> dict[int, int]:
-    """Reduced homology dims of a complex given as its full face set."""
-    by_dim: dict[int, list[tuple[str, ...]]] = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+def _subsets_of(mask: int) -> Iterator[int]:
+    """Every submask of mask, mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def _homology_masks(faces: set[int], k: FieldSpec) -> dict[int, int]:
+    """Reduced homology dims of a complex given as face bitmasks (incl. 0)."""
+    by_dim: dict[int, list[int]] = {}
+    for m in faces:
+        by_dim.setdefault(m.bit_count() - 1, []).append(m)
     top = max(by_dim)
     if top == -1:
         return {-1: 1}
-    index: dict[int, dict[tuple[str, ...], int]] = {
-        d: {f: i for i, f in enumerate(sorted(fs))} for d, fs in by_dim.items()}
-
+    index = {d: {m: i for i, m in enumerate(sorted(ms))}
+             for d, ms in by_dim.items()}
     ranks: dict[int, int] = {}  # rank of boundary C_d -> C_{d-1}
     for d in range(0, top + 1):
-        cols_faces = sorted(by_dim[d])
         rows = index[d - 1]
+        col_masks = sorted(by_dim[d])
         if k.p == 2:
             cols = []
-            for f in cols_faces:
-                m = 0
-                for j in range(len(f)):
-                    m |= 1 << rows[f[:j] + f[j + 1:]]
-                cols.append(m)
+            for m in col_masks:
+                c = 0
+                for b in _mask_bits(m):
+                    c |= 1 << rows[m ^ (1 << b)]
+                cols.append(c)
             ranks[d] = rank_gf2(cols)
         else:
-            mat = [[0] * len(cols_faces) for _ in range(len(rows))]
-            for ci, f in enumerate(cols_faces):
-                for j in range(len(f)):
-                    mat[rows[f[:j] + f[j + 1:]]][ci] = (-1) ** j
+            mat = [[0] * len(col_masks) for _ in range(len(rows))]
+            for ci, m in enumerate(col_masks):
+                for pos, b in enumerate(_mask_bits(m)):
+                    mat[rows[m ^ (1 << b)]][ci] = (-1) ** pos
             ranks[d] = rank_rational(mat) if k.is_rational else rank_modp(mat, k.p)
     ranks[top + 1] = 0
-
-    out = {}
-    for d in range(-1, top + 1):
-        n_d = len(by_dim.get(d, ()))
-        out[d] = n_d - ranks.get(d, 0) - ranks[d + 1]
-    return out
+    return {d: len(by_dim.get(d, ())) - ranks.get(d, 0) - ranks[d + 1]
+            for d in range(-1, top + 1)}
 
 
 # -- graph-derived complexes ----------------------------------------------

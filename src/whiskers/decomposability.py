@@ -14,14 +14,10 @@ from typing import Iterable
 
 from .complexes import ComplexError, SimplicialComplex, independence_complex
 from .fields import GF2, FieldSpec
-from .graph import Graph
+from .graph import Graph, ResourceLimit
 
 DEFAULT_SHELLING_FACET_BOUND = 12
 DEFAULT_SCM_AMBIENT_BOUND = 14
-
-
-class ResourceLimit(RuntimeError):
-    """An explicit resource bound was exceeded (never a silent approximation)."""
 
 
 # A certificate tree is either ("simplex",) or ("shed", v, del_tree, lk_tree).

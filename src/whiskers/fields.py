@@ -1,9 +1,10 @@
 """Coefficient fields and exact rank computations.
 
 Homology (and hence every Betti number) is computed over either a prime
-field F_p or the rationals.  Ranks are exact: F_2 uses bitset Gaussian
-elimination on Python ints, other primes use modular elimination, and the
-rationals use Fraction arithmetic.
+field F_p or the rationals.  Ranks are exact.  F_2 has its own path,
+elimination on column bitsets held in Python ints.  Every other field goes
+through one sparse forward elimination, with entries reduced mod p for F_p
+and held as Fractions for the rationals.
 """
 
 from __future__ import annotations
@@ -70,51 +71,53 @@ def rank_gf2(columns: list[int]) -> int:
     return rank
 
 
-def rank_modp(rows: list[list[int]], p: int) -> int:
-    """Rank over F_p by in-place Gaussian elimination."""
-    rows = [[x % p for x in r] for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+def _rank(rows: list[list[int]], p: int | None) -> int:
+    """Rank over F_p, or over the rationals when p is None.
+
+    Sparse forward elimination: each row is a {col: value} dict of its
+    nonzero entries.  The shortest remaining row is the pivot, which keeps
+    fill-in low on boundary matrices; its column is cleared from the other
+    rows and the pivot row is dropped.  A rank needs no back substitution
+    and no unit pivots, so neither is done.
+    """
+    if p is None:
+        work = [{j: Fraction(x) for j, x in enumerate(r) if x} for r in rows]
+    else:
+        work = [{j: x % p for j, x in enumerate(r) if x % p} for r in rows]
+    work = [r for r in work if r]
     rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+    while work:
+        pivot = min(work, key=len)
         rank += 1
-        col += 1
+        col, lead = next(iter(pivot.items()))
+        inv = 1 / lead if p is None else pow(lead, -1, p)
+        rest = []
+        for r in work:
+            if r is pivot:
+                continue
+            a = r.get(col)
+            if a is not None:
+                f = a * inv
+                for j, x in pivot.items():
+                    y = r.get(j, 0) - f * x
+                    if p is not None:
+                        y %= p
+                    if y:
+                        r[j] = y
+                    else:  # y == 0 only where r already had an entry
+                        del r[j]
+                if not r:
+                    continue
+            rest.append(r)
+        work = rest
     return rank
+
+
+def rank_modp(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p of a dense integer matrix."""
+    return _rank(rows, p)
 
 
 def rank_rational(rows: list[list[int]]) -> int:
-    """Rank over the rationals (entries are integers)."""
-    work = [[Fraction(x) for x in r] for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(work):
-        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        lead = work[rank][col]
-        work[rank] = [x / lead for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Rank over the rationals of a dense integer matrix."""
+    return _rank(rows, None)

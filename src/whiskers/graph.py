@@ -19,6 +19,10 @@ class GraphError(ValueError):
     pass
 
 
+class ResourceLimit(RuntimeError):
+    """An explicit resource bound was exceeded (never a silent approximation)."""
+
+
 def _mask_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask

@@ -16,19 +16,15 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Iterable
 
-from .complexes import SimplicialComplex
-from .fields import GF2, FieldSpec, rank_gf2, rank_modp, rank_rational
-from .graph import Graph
+from .complexes import SimplicialComplex, _homology_masks, _subsets_of
+from .fields import GF2, FieldSpec
+from .graph import Graph, ResourceLimit, _mask_bits
 from .whisker import WhiskeredGraph, decompose_delete, decompose_link
 
 DEFAULT_ORACLE_AMBIENT_BOUND = 16
 
 
 class IdealError(ValueError):
-    pass
-
-
-class ResourceLimit(RuntimeError):
     pass
 
 
@@ -198,46 +194,6 @@ def betti_join(t1: BettiTable, t2: BettiTable) -> BettiTable:
 _hom_cache: dict[tuple, dict[int, int]] = {}
 
 
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _homology_masks(faces: set[int], k: FieldSpec) -> dict[int, int]:
-    """Reduced homology dims of a complex given as face bitmasks (incl. 0)."""
-    by_dim: dict[int, list[int]] = {}
-    for m in faces:
-        by_dim.setdefault(m.bit_count() - 1, []).append(m)
-    top = max(by_dim)
-    if top == -1:
-        return {-1: 1}
-    index = {d: {m: i for i, m in enumerate(sorted(ms))}
-             for d, ms in by_dim.items()}
-    ranks: dict[int, int] = {}
-    for d in range(0, top + 1):
-        rows = index[d - 1]
-        col_masks = sorted(by_dim[d])
-        if k.p == 2:
-            cols = []
-            for m in col_masks:
-                c = 0
-                for b in _mask_bits(m):
-                    c |= 1 << rows[m ^ (1 << b)]
-                cols.append(c)
-            ranks[d] = rank_gf2(cols)
-        else:
-            mat = [[0] * len(col_masks) for _ in range(len(rows))]
-            for ci, m in enumerate(col_masks):
-                for pos, b in enumerate(_mask_bits(m)):
-                    mat[rows[m ^ (1 << b)]][ci] = (-1) ** pos
-            ranks[d] = rank_rational(mat) if k.is_rational else rank_modp(mat, k.p)
-    ranks[top + 1] = 0
-    return {d: len(by_dim.get(d, ())) - ranks.get(d, 0) - ranks[d + 1]
-            for d in range(-1, top + 1)}
-
-
 def _compact(masks: Iterable[int], w_bits: list[int]) -> tuple[int, ...]:
     local = {b: i for i, b in enumerate(w_bits)}
     out = []
@@ -247,15 +203,6 @@ def _compact(masks: Iterable[int], w_bits: list[int]) -> tuple[int, ...]:
             c |= 1 << local[b]
         out.append(c)
     return tuple(sorted(out))
-
-
-def _subsets_of(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def _restriction_homology(w: int, gens_w: list[int], k: FieldSpec) -> dict[int, int]:

@@ -329,10 +329,3 @@ CHECKS: dict[str, Callable[[random.Random, int], list[str]]] = {
     "froeberg": check_froeberg,
     "ideal-identities": check_ideal_identities,
 }
-
-
-def run_all(seed: int, count: int) -> dict[str, list[str]]:
-    out = {}
-    for name, fn in CHECKS.items():
-        out[name] = fn(random.Random(f"{seed}:{name}"), count)
-    return out

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from whiskers import (ComplexError, SimplicialComplex, cycle_graph,
                       independence_complex, simplex_on)
-from whiskers.fields import GF2, QQ
+from whiskers.fields import GF2, QQ, FieldSpec
 from whiskers.randinst import random_complex_facets
 
 from conftest import c6
@@ -113,6 +113,12 @@ def test_homology_known_values():
     c = SimplicialComplex(["a1", "a2", "b1", "b2", "c1", "c2"], oct_facets)
     for k in (GF2, QQ):
         assert c.reduced_homology_dims(k) == {-1: 0, 0: 0, 1: 0, 2: 1}
+    # 6-vertex real projective plane: 2-torsion in H1, so only F2 sees it
+    rp2 = SimplicialComplex("123456", [
+        "123", "134", "145", "156", "126", "235", "245", "246", "346", "356"])
+    assert rp2.reduced_homology_dims(GF2) == {-1: 0, 0: 0, 1: 1, 2: 1}
+    for k in (FieldSpec(3), QQ):
+        assert rp2.reduced_homology_dims(k) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
 
 def test_join_of_complexes():

@@ -7,7 +7,7 @@ code with the package's Hochster-style oracle.
 
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -15,7 +15,7 @@ from whiskers import (betti_closed_pi, betti_join, betti_oracle,
                       betti_recursive_cover, cycle_graph,
                       has_linear_resolution, ideal_of, independence_complex,
                       pd_and_reg)
-from whiskers.fields import GF2, QQ, FieldSpec
+from whiskers.fields import GF2, QQ, FieldSpec, rank_modp, rank_rational
 from whiskers.ideals import BettiTable, IdealError, MonomialIdeal, ResourceLimit
 from whiskers.randinst import random_build, random_graph
 
@@ -127,6 +127,25 @@ def test_oracle_matches_koszul_homology():
         got = betti_oracle(ideal, field).as_quotient().entries
         want = koszul_betti(ideal, field.p or 0)
         assert got == want, (ideal.generator_tuples(), got, want)
+
+
+def test_rank_kernels_match_brute_force():
+    """rank_modp against the size of the row span (p^rank), rank_rational
+    against the independent _rank_q above."""
+    rng = random.Random(7)
+    mats = [[], [[]], [[], []], [[0, 0, 0]], [[0, 0], [0, 0], [0, 0]],
+            [[1, 2], [0, 0], [2, 4]]]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)  # tall and wide
+        mats.append([[rng.choice([0, 0, 1, -1, 2, 3, -4]) for _ in range(cols)]
+                     for _ in range(rows)])
+    for mat in mats:
+        for p in (2, 3, 5):
+            span = {tuple(sum(c * x for c, x in zip(coeffs, col)) % p
+                          for col in zip(*mat))
+                    for coeffs in product(range(p), repeat=len(mat))}
+            assert len(span) == p ** rank_modp(mat, p), (mat, p)
+        assert rank_rational(mat) == _rank_q(mat), mat
 
 
 # -- conventions and table algebra ----------------------------------------------

@@ -175,6 +175,13 @@ def test_cli_error_codes(files):
     code, _ = run_cli("betti", "--graph", str(files / "l6.graph"),
                       "--oracle-bound", "2")
     assert code == 3
+    (files / "empty.cx").write_text("")
+    code, _ = run_cli("check-vd", "--complex", str(files / "empty.cx"))
+    assert code == 2
+    for field in ("4", "x"):
+        code, _ = run_cli("betti", "--graph", str(files / "l6.graph"),
+                          "--field", field)
+        assert code == 2
 
 
 def test_cli_deterministic_output(files):
