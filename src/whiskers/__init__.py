@@ -11,10 +11,10 @@ from .graph import (Graph, GraphError, ResourceLimit, complete_graph,
                     cycle_graph, edgeless_graph, path_graph)
 from .ideals import (BettiTable, IdealError, MonomialIdeal, betti_closed_pi,
                      betti_join, betti_oracle, betti_recursive_cover,
-                     has_linear_resolution, ideal_of, pd_and_reg)
+                     has_linear_resolution, ideal_of)
 from .io import (ParseError, format_complex, format_graph, format_partition,
                  graph_to_dot, parse_complex, parse_graph, parse_partition)
-from .poset import FacetPoset, PosetError, build_facet_poset, count_facets_pi
+from .poset import FacetPoset, PosetError, count_facets_pi
 from .whisker import (KINDS, PartitionSpec, WhiskerError, WhiskeredGraph,
                       build_whiskered, decompose_delete, decompose_link,
                       default_spec, derive_kind, trivial_spec,

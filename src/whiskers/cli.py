@@ -109,8 +109,7 @@ def cmd_betti(args, out) -> int:
     if args.method in ("recursive", "both"):
         if w is None or args.ideal != "cover":
             raise IdealError("--method recursive needs --partition and the cover ideal")
-        tables["recursive"] = betti_recursive_cover(w, k=args.field,
-                                                    oracle_bound=args.oracle_bound)
+        tables["recursive"] = betti_recursive_cover(w, k=args.field)
     shown = tables.get("oracle", next(iter(tables.values())))
     if args.quotient:
         shown = shown.as_quotient()
@@ -185,7 +184,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="a prime, or 0 for rationals")
     s.add_argument("--quotient", action="store_true",
                    help="report the quotient ring convention")
-    s.add_argument("--format", choices=["tsv"], default="tsv")
     s.add_argument("--oracle-bound", type=int,
                    default=DEFAULT_ORACLE_AMBIENT_BOUND,
                    help="ambient vertex bound for the homology oracle")

@@ -19,7 +19,7 @@ from typing import Iterable
 from .complexes import SimplicialComplex, _homology_masks, _subsets_of
 from .fields import GF2, FieldSpec
 from .graph import Graph, ResourceLimit, _mask_bits
-from .whisker import WhiskeredGraph, decompose_delete, decompose_link
+from .whisker import WhiskeredGraph
 
 DEFAULT_ORACLE_AMBIENT_BOUND = 16
 
@@ -170,10 +170,6 @@ class BettiTable:
         return "\n".join(lines) + "\n"
 
 
-def pd_and_reg(table: BettiTable) -> tuple[int, int]:
-    return table.pd(), table.reg()
-
-
 def betti_join(t1: BettiTable, t2: BettiTable) -> BettiTable:
     """Convolution of quotient-convention tables of two complexes on
     disjoint vertex sets; equals the table of their join."""
@@ -304,35 +300,32 @@ def betti_oracle(ideal: MonomialIdeal, k: FieldSpec = GF2,
 
 # -- recursion for cover ideals of whiskered graphs -----------------------------
 
-def betti_recursive_cover(w: WhiskeredGraph, v: str | None = None,
-                          k: FieldSpec = GF2, cutoff: int = 0,
-                          oracle_bound: int = DEFAULT_ORACLE_AMBIENT_BOUND) -> BettiTable:
+def betti_recursive_cover(w: WhiskeredGraph, k: FieldSpec = GF2) -> BettiTable:
     """Betti table of the cover ideal of a pi/cc/mc whiskered graph by the
     one-vertex splitting recursion.
 
-    Splitting at a base vertex u: the deletion side contributes its cover
-    ideal shifted one degree up; the link side is the smaller cover ideal
-    degree-shifted by |N(u)| (its generators all carry the removed closed
-    neighbourhood), contributing at (i, j) and (i-1, j-1).  Once the base
-    graph is down to ``cutoff`` vertices the homology oracle takes over.
+    Both sides of a split are induced subgraphs of ``w.graph``.  Splitting
+    at the first base vertex u still present in h: the deletion side h - u
+    contributes its cover ideal shifted one degree up; the link side
+    h - N[u] is the smaller cover ideal degree-shifted by deg_h(u) (its
+    generators all carry the removed neighbourhood), contributing at (i, j)
+    and (i-1, j-1).  Once no base vertex is left, every remaining vertex is
+    an isolated whisker vertex (the whisker graphs are edgeless), which lies
+    in no minimal vertex cover, so the leaf is the unit ideal.
     """
     if w.kind not in ("pi", "cc", "mc"):
         raise IdealError("recursion requires edgeless whisker graphs (pi/cc/mc)")
-    if v is not None and v not in w.base:
-        raise IdealError(f"{v!r} is not a base vertex")
+    base = w.base.vertices
 
-    def rec(wg: WhiskeredGraph, pick: str | None) -> BettiTable:
-        if len(wg.base) <= cutoff:
-            return betti_oracle(ideal_of(wg.graph, "cover"), k, oracle_bound)
-        u = pick if pick is not None else wg.base.vertices[0]
-        m = len(wg.graph.neighbors(u))
-        del_part, _ = decompose_delete(wg, u)
-        link_part, _, _ = decompose_link(wg, u)
-        t_del = rec(del_part, None)
-        t_link = rec(link_part, None).shifted(0, m)
+    def rec(h: Graph) -> BettiTable:
+        u = next((b for b in base if b in h), None)
+        if u is None:
+            return BettiTable(k, {(0, 0): 1}, "ideal")
+        t_del = rec(h.delete_vertices([u]))
+        t_link = rec(h.delete_closed_neighborhood(u)).shifted(0, h.degree(u))
         return t_del.shifted(0, 1).plus(t_link).plus(t_link.shifted(1, 1))
 
-    return rec(w, v)
+    return rec(w.graph)
 
 
 # -- closed formula for pi-builds ------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 
 from .complexes import SimplicialComplex
-from .graph import Graph, edgeless_graph
+from .graph import MAX_VERTICES, Graph, edgeless_graph
 from .whisker import PartitionSpec
 
 
@@ -110,6 +110,9 @@ def _parse_whisker(lineno: int, rest: str, prefix: str) -> Graph:
     size = int(m.group(1))
     if size < 1:
         raise ParseError(f"line {lineno}: whisker size must be >= 1")
+    if size > MAX_VERTICES:
+        raise ParseError(f"line {lineno}: whisker size {size} exceeds "
+                         f"the {MAX_VERTICES}-vertex graph bound")
     names = [f"{prefix}.{k + 1}" for k in range(size)]
     edges = []
     spec = m.group(2).strip()
@@ -150,8 +153,12 @@ def parse_partition(text: str, g: Graph) -> PartitionSpec:
             cluster_names.append(name)
             clusters[name] = rest.split()
         elif kw == "whiskerA":
+            if name in whisker_a_raw:
+                raise ParseError(f"line {lineno}: duplicate whiskerA {name}")
             whisker_a_raw[name] = (lineno, rest)
         elif kw == "whiskerB":
+            if name in whisker_b_raw:
+                raise ParseError(f"line {lineno}: duplicate whiskerB {name}")
             whisker_b_raw[name] = (lineno, rest)
         else:
             raise ParseError(f"line {lineno}: unknown keyword {kw!r}")

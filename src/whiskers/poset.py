@@ -91,10 +91,6 @@ class FacetPoset:
         return "\n".join(lines)
 
 
-def build_facet_poset(w: WhiskeredGraph) -> FacetPoset:
-    return FacetPoset(w)
-
-
 def count_facets_pi(g: Graph, spec: PartitionSpec) -> int:
     """Facet count of the pi-build's independence complex by
     inclusion-exclusion over the boolean intervals below the maximal

@@ -8,13 +8,14 @@ code with the package's Hochster-style oracle.
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 import pytest
 
 from whiskers import (betti_closed_pi, betti_join, betti_oracle,
-                      betti_recursive_cover, cycle_graph,
+                      betti_recursive_cover, build_whiskered, cycle_graph,
                       has_linear_resolution, ideal_of, independence_complex,
-                      pd_and_reg)
+                      trivial_spec)
 from whiskers.fields import GF2, QQ, FieldSpec, rank_modp, rank_rational
 from whiskers.ideals import BettiTable, IdealError, MonomialIdeal, ResourceLimit
 from whiskers.randinst import random_build, random_graph
@@ -226,6 +227,49 @@ def test_recursion_rejects_md():
         betti_recursive_cover(w)
 
 
+def _independent_set_sizes(g):
+    """i_s(G) for every s, by walking all independent sets."""
+    pos = {v: b for b, v in enumerate(g.vertices)}
+    adj = [sum(1 << pos[u] for u in g.neighbors(v)) for v in g.vertices]
+    counts = [0] * (len(adj) + 1)
+
+    def walk(start, blocked, size):
+        counts[size] += 1
+        for b in range(start, len(adj)):
+            if not blocked >> b & 1:
+                walk(b + 1, blocked | adj[b], size + 1)
+
+    walk(0, 0, 0)
+    return counts
+
+
+def test_recursion_k_polynomial_past_oracle_bound():
+    """J(G) is the Stanley-Reisner ideal of Ind(G)^dual, so the K-polynomial
+    of S/J(G) is sum_{i,j} (-1)^i beta_{i,j} t^j
+    = 1 - sum_s i_s(G) t^(n-s) (1-t)^s.  Checked on builds the oracle's
+    16-vertex bound rules out."""
+    rng = random.Random(17)
+    cycles = [cycle_graph([f"v{i}" for i in range(n)]) for n in (12, 14)]
+    builds = [build_whiskered(g, trivial_spec(g), "pi") for g in cycles]
+    while len(builds) < 32:
+        w = random_build(rng, ["pi", "cc", "mc"][len(builds) % 3],
+                         max_base=10, max_total=30)
+        if len(w.graph) >= 17:
+            builds.append(w)
+    for w in builds:
+        n = len(w.graph)
+        expected = {0: 1}
+        for s, count in enumerate(_independent_set_sizes(w.graph)):
+            for e in range(s + 1):  # t^(n-s) (1-t)^s, term t^(n-s+e)
+                j = n - s + e
+                expected[j] = expected.get(j, 0) - count * comb(s, e) * (-1) ** e
+        got: dict[int, int] = {}
+        for (i, j), beta in betti_recursive_cover(w).as_quotient().entries.items():
+            got[j] = got.get(j, 0) + (-1) ** i * beta
+        assert {j: c for j, c in got.items() if c} \
+            == {j: c for j, c in expected.items() if c}, w.graph
+
+
 def test_join_formula_matches_oracle():
     rng = random.Random(8)
     for t in range(25):
@@ -257,8 +301,10 @@ def test_pd_reg_recursion():
         w = random_build(rng, "mc", max_base=5, max_total=10)
         v = w.base.vertices[0]
         m = len(w.graph.neighbors(v))
-        pr = lambda g: pd_and_reg(
-            betti_oracle(ideal_of(g, "edge"), GF2).as_quotient())
+        def pr(g):
+            table = betti_oracle(ideal_of(g, "edge"), GF2).as_quotient()
+            return table.pd(), table.reg()
+
         pd, rg = pr(w.graph)
         pd1, rg1 = pr(w.graph.delete_vertices([v]))
         pd2, rg2 = pr(w.graph.delete_vertices(w.graph.closed_neighborhood(v)))

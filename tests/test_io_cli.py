@@ -182,6 +182,17 @@ def test_cli_error_codes(files):
         code, _ = run_cli("betti", "--graph", str(files / "l6.graph"),
                           "--field", field)
         assert code == 2
+    for name, text in (
+            ("dup-a.part", EARS_TEXT + "whiskerA W1: size=1 edges=()\n"
+                                       "whiskerA W1: size=2 edges=()\n"),
+            ("dup-b.part", ODD_EVEN_TEXT + "whiskerB U1: size=1 edges=()\n"
+                                           "whiskerB U1: size=2 edges=()\n"),
+            # rejected before any of the 10^8 whisker names is built
+            ("huge.part", EARS_TEXT + "whiskerA W1: size=100000000 edges=()\n")):
+        (files / name).write_text(text)
+        code, _ = run_cli("build", "--graph", str(files / "c6.graph"),
+                          "--partition", str(files / name))
+        assert code == 2, name
 
 
 def test_cli_deterministic_output(files):

@@ -5,8 +5,8 @@ from math import factorial
 
 import pytest
 
-from whiskers import (FacetPoset, PosetError, build_facet_poset,
-                      build_whiskered, count_facets_pi, independence_complex)
+from whiskers import (FacetPoset, PosetError, build_whiskered,
+                      count_facets_pi, independence_complex)
 from whiskers.randinst import random_instance
 
 from conftest import c6, c6_ears, c6_ears_spec, fig_odd_even
@@ -19,7 +19,7 @@ def test_requires_pi_kind():
 
 def test_c6_ears_counts():
     g = c6()
-    p = build_facet_poset(c6_ears())
+    p = FacetPoset(c6_ears())
     assert len(p) == 18
     assert count_facets_pi(g, c6_ears_spec(g)) == 18
     assert g.independent_set_count() == 18
