@@ -7,6 +7,7 @@ or a nonempty --method both diff; 2 usage or parse error; 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -77,7 +78,11 @@ def cmd_facets(args, out) -> int:
         out.write("facet " + " ".join(f) + "\n")
     out.write(f"{len(c.facets)} facets\n")
     if w.kind == "pi":
-        out.write(f"inclusion-exclusion count: {count_facets_pi(w.base, w.spec)}\n")
+        try:
+            count = count_facets_pi(w.base, w.spec)
+        except ResourceLimit as exc:
+            count = f"skipped ({exc})"
+        out.write(f"inclusion-exclusion count: {count}\n")
         out.write(f"independent-set count: {w.base.independent_set_count()}\n")
     return 0
 
@@ -148,7 +153,9 @@ def cmd_export_dot(args, out) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once and shared; parsing leaves no state in it."""
     ap = argparse.ArgumentParser(prog="whiskers")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -205,9 +212,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    ap = make_parser()
     try:
-        args = ap.parse_args(argv)
+        args = make_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -1,16 +1,28 @@
 """Vertex decomposability certificates, shedding vertices, shellability,
 unmixedness, and the componentwise-linear-dual criterion.
 
-The decomposability search works on bare facet sets (frozensets of ints over
-a renumbered support) with a global memo table, so label-coinciding
-subproblems across a whole test suite are solved once.  The public entry
-points translate back to the caller's vertex names.
+The decomposability search works on facets stored as int bitmasks over a
+renumbered support, with a global memo table keyed by the canonical facet
+set, so label-coinciding subproblems across a whole test suite are solved
+once.  Vertex names become bits once, on the way in, and the certificate
+tree is translated back to names on the way out.  A subcomplex is renumbered
+in the order of its labels as strings: the names at the top, and the decimal
+strings of the parent's bit numbers below it (0, 1, 10, 11, ..., 2, ...).
+The trial order breaks ties by that numbering, so it fixes which
+certificate is found.
+
+A refutation is the input complex itself.  A failed subcomplex only sends
+its parent on to the next trial vertex, so the search is stuck exactly when
+the top complex is, and ``VDCertificate.refutation`` lists the input's
+facets.  The label-level ``_split`` serves only the
+certificate replay and the brute-force oracle, which check the kernel
+independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection
 
 from .complexes import ComplexError, SimplicialComplex, independence_complex
 from .fields import GF2, FieldSpec
@@ -28,7 +40,7 @@ Tree = tuple
 class VDCertificate:
     decomposable: bool
     tree: Tree | None = None
-    refutation: tuple[tuple[str, ...], ...] | None = None  # stuck subcomplex facets
+    refutation: tuple[tuple[str, ...], ...] | None = None  # the input's facets
 
     def to_lines(self) -> list[str]:
         if self.decomposable:
@@ -50,15 +62,36 @@ class VDCertificate:
         return lines
 
 
-FacetSet = frozenset  # of frozenset[int]
+FacetSet = frozenset  # of frozenset[str], the facets of a complex
 
 
-def _canonical(facets: Iterable[frozenset]) -> tuple[FacetSet, list]:
-    """Renumber the support to 0..m-1; returns (key, inverse label list)."""
-    support = sorted({v for f in facets for v in f}, key=str)
-    pos = {v: i for i, v in enumerate(support)}
-    key = frozenset(frozenset(pos[v] for v in f) for f in facets)
-    return key, support
+def _canonical(facets: Collection[int], by_str: bool) -> tuple[frozenset[int], list[int]]:
+    """Renumber the support to 0..m-1; returns (key, old bit of each new bit).
+
+    The new numbering follows the old bits in increasing order, or, when
+    ``by_str`` is set, in the order of the old bit numbers as decimal strings
+    (0, 1, 10, 11, ..., 2, ...).  Each run of old bits that stay adjacent
+    moves with one shift and mask.
+    """
+    support = 0
+    for f in facets:
+        support |= f
+    old = [i for i in range(support.bit_length()) if support >> i & 1]
+    if by_str and support.bit_length() > 10:
+        old.sort(key=str)
+    runs = []  # (old start, mask, new start) of each run
+    start = 0
+    for j in range(1, len(old) + 1):
+        if j == len(old) or old[j] != old[j - 1] + 1:
+            runs.append((old[start], (1 << (j - start)) - 1, start))
+            start = j
+    key = []
+    for f in facets:
+        g = 0
+        for src, mask, dst in runs:
+            g |= (f >> src & mask) << dst
+        key.append(g)
+    return frozenset(key), old
 
 
 def _translate_tree(node: Tree, labels: list) -> Tree:
@@ -68,68 +101,98 @@ def _translate_tree(node: Tree, labels: list) -> Tree:
             _translate_tree(node[2], labels), _translate_tree(node[3], labels))
 
 
-def _split(facets: FacetSet, x) -> tuple[list, list, bool]:
-    """(deletion facets, link facets, condition-beta holds) for vertex x."""
+def _split(facets: FacetSet, x) -> tuple[list, list] | None:
+    """(deletion facets, link facets) for vertex x, or None when condition
+    (beta) fails: some link facet is a facet of the deletion."""
     keep = [f for f in facets if x not in f]
     cand = [f - {x} for f in facets if x in f]
-    beta = all(any(c < k for k in keep) for c in cand)
-    if beta:
-        del_facets = keep
-    else:
-        del_facets = keep + [c for c in cand if not any(c < k for k in keep)]
-    return del_facets, cand, beta
+    if all(any(c < k for k in keep) for c in cand):
+        return keep, cand
+    return None
 
 
-def _vertex_order(facets: FacetSet) -> list:
+def _split_masks(facets: Collection[int], bit: int) -> tuple[list[int], list[int]] | None:
+    """`_split` on bitmask facets; ``bit`` is the shed vertex's bit."""
+    keep = [f for f in facets if not f & bit]
+    link = [f ^ bit for f in facets if f & bit]
+    for c in link:
+        for k in keep:
+            if not c & ~k:  # facets form an antichain, so c != k
+                break
+        else:
+            return None
+    return keep, link
+
+
+def _vertex_order(facets: frozenset[int]) -> list[int]:
     """Trial order: descending degree in the 1-skeleton, ties by label."""
-    closed: dict = {}
+    closed = [0] * max(facets).bit_length()  # the support is 0..m-1
     for f in facets:
-        for v in f:
-            closed.setdefault(v, set()).update(f)
-    return sorted(closed, key=lambda v: (-len(closed[v]) + 1, v))
+        rest = f
+        while rest:
+            low = rest & -rest
+            closed[low.bit_length() - 1] |= f
+            rest ^= low
+    return sorted(range(len(closed)), key=lambda v: -closed[v].bit_count())
 
 
-_vd_memo: dict[FacetSet, tuple[bool, Tree | FacetSet]] = {}
+# canonical facet bitmasks -> the tree in canonical labels, or False
+_vd_memo: dict[frozenset[int], Tree | bool] = {}
 
 
-def _vd_search(facets: FacetSet) -> tuple[bool, Tree | FacetSet]:
-    """Returns (True, tree) or (False, stuck facet set), in current labels."""
+def _vd_search(facets: list[int], names: list | None = None) -> Tree | bool:
+    """The tree in the caller's labels, or False if not decomposable.
+
+    Without ``names`` the caller's labels are its own bit numbers, and the
+    subcomplex is renumbered in their order as decimal strings.  With
+    ``names``, bit i is called names[i] and the bits are in the names'
+    string order already.
+    """
     if len(facets) <= 1:
-        return True, ("simplex",)
-    key, labels = _canonical(facets)
-    hit = _vd_memo.get(key)
-    if hit is None:
-        hit = _vd_search_core(key)
-        _vd_memo[key] = hit
-    ok, payload = hit
-    if ok:
-        return True, _translate_tree(payload, labels)
-    return False, frozenset(frozenset(labels[i] for i in f) for f in payload)
+        return ("simplex",)
+    key, old = _canonical(facets, names is None)
+    tree = _vd_memo.get(key)
+    if tree is None:
+        tree = _vd_memo[key] = _vd_search_core(key)
+    if tree is False:
+        return False
+    return _translate_tree(tree, old if names is None else [names[i] for i in old])
 
 
-def _vd_search_core(facets: FacetSet) -> tuple[bool, Tree | FacetSet]:
+def _vd_search_core(facets: frozenset[int]) -> Tree | bool:
     for x in _vertex_order(facets):
-        del_facets, lk_facets, beta = _split(facets, x)
-        if not beta:
+        split = _split_masks(facets, 1 << x)
+        if split is None:
             continue
-        ok_d, tree_d = _vd_search(frozenset(del_facets))
-        if not ok_d:
+        tree_d = _vd_search(split[0])
+        if tree_d is False:
             continue
-        ok_l, tree_l = _vd_search(frozenset(lk_facets))
-        if not ok_l:
+        tree_l = _vd_search(split[1])
+        if tree_l is False:
             continue
-        return True, ("shed", x, tree_d, tree_l)
-    return False, facets
+        return ("shed", x, tree_d, tree_l)
+    return False
+
+
+def _facet_masks(delta: SimplicialComplex) -> tuple[list[int], list]:
+    """The facets as bitmasks over the support, numbered in string order."""
+    names = sorted({v for f in delta.facets for v in f}, key=str)
+    bit = {v: 1 << i for i, v in enumerate(names)}
+    return [sum(bit[v] for v in f) for f in delta.facets], names
 
 
 def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
-    """Exact decision with a replayable certificate or a stuck subcomplex."""
+    """Exact decision with a replayable certificate or a stuck subcomplex.
+
+    A refutation is the input complex itself: its facets, sorted as strings.
+    """
     if delta.is_void:
         raise ComplexError("void complex: vertex decomposability undefined")
-    ok, payload = _vd_search(frozenset(delta.facets))
-    if ok:
-        return VDCertificate(True, tree=payload)
-    stuck = tuple(tuple(sorted(f, key=str)) for f in sorted(payload, key=lambda f: sorted(map(str, f))))
+    tree = _vd_search(*_facet_masks(delta))
+    if tree is not False:
+        return VDCertificate(True, tree=tree)
+    stuck = tuple(tuple(sorted(f, key=str))
+                  for f in sorted(delta.facets, key=lambda f: sorted(map(str, f))))
     return VDCertificate(False, refutation=stuck)
 
 
@@ -147,11 +210,11 @@ def verify_certificate(delta: SimplicialComplex, cert: VDCertificate) -> bool:
         if node[0] == "simplex":
             return len(facets) <= 1
         _, x, tree_d, tree_l = node
-        del_facets, lk_facets, beta = _split(facets, x)
-        if not beta:
+        split = _split(facets, x)
+        if split is None:
             return False
-        return (walk(frozenset(del_facets), tree_d)
-                and walk(frozenset(lk_facets), tree_l))
+        return (walk(frozenset(split[0]), tree_d)
+                and walk(frozenset(split[1]), tree_l))
 
     return walk(frozenset(delta.facets), cert.tree)
 
@@ -165,8 +228,8 @@ def is_vd_brute_force(delta: SimplicialComplex) -> bool:
         if len(facets) <= 1:
             return True
         for x in {v for f in facets for v in f}:
-            del_facets, lk_facets, beta = _split(facets, x)
-            if beta and rec(frozenset(del_facets)) and rec(frozenset(lk_facets)):
+            split = _split(facets, x)
+            if split and rec(frozenset(split[0])) and rec(frozenset(split[1])):
                 return True
         return False
 
@@ -178,17 +241,14 @@ def shedding_vertices(delta: SimplicialComplex, weak: bool = False) -> list[str]
     (beta) only."""
     if delta.is_void:
         raise ComplexError("void complex has no shedding vertices")
-    facets = frozenset(delta.facets)
+    facets, names = _facet_masks(delta)
     out = []
-    for x in sorted({v for f in facets for v in f}):
-        del_facets, lk_facets, beta = _split(facets, x)
-        if not beta:
+    for i, x in enumerate(names):
+        split = _split_masks(facets, 1 << i)
+        if split is None:
             continue
-        if weak:
-            out.append(x)
-            continue
-        if (_vd_search(frozenset(del_facets))[0]
-                and _vd_search(frozenset(lk_facets))[0]):
+        if weak or (_vd_search(split[0], names) is not False
+                    and _vd_search(split[1], names) is not False):
             out.append(x)
     return out
 

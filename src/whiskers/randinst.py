@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 
 from .graph import Graph, edgeless_graph, path_graph
-from .whisker import PartitionSpec, WhiskeredGraph, build_whiskered, validate_partitions
+from .whisker import (PartitionSpec, WhiskerError, WhiskeredGraph, build_whiskered,
+                      validate_partitions)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4,
@@ -112,7 +113,9 @@ def random_instance(rng: random.Random, kind: str, max_base: int = 8,
                 f"b{j + 1}.{t + 1}" for t in range(b_sizes[j])))
                   if len(c) > 1 else None
                   for j, c in enumerate(clusters)))
-        assert not validate_partitions(g, spec)
+        problems = validate_partitions(g, spec)
+        if problems:
+            raise WhiskerError(f"random instance is invalid: {problems[0]}")
         return g, spec
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whiskers import (SimplicialComplex, complete_graph,
-                      independence_complex, path_graph, simplex_on)
+from whiskers import (SimplicialComplex, VDCertificate, build_whiskered,
+                      complete_graph, cycle_graph, independence_complex,
+                      path_graph, simplex_on, trivial_spec)
 from whiskers.complexes import ComplexError
 from whiskers.decomposability import (ResourceLimit, is_scm_via_dual,
                                       is_shellable, is_unmixed,
@@ -150,3 +151,107 @@ def test_scm_on_random_builds():
         w = random_build(rng, ["pi", "cc", "mc", "md"][t % 4],
                          max_base=6, max_total=12)
         assert is_scm_via_dual(independence_complex(w.graph))
+
+
+# -- reference: the search on frozensets of labels that the bitmask kernel
+# replaced, kept as an independent copy ---------------------------------------
+
+def _ref_canonical(facets):
+    support = sorted({v for f in facets for v in f}, key=str)
+    pos = {v: i for i, v in enumerate(support)}
+    return frozenset(frozenset(pos[v] for v in f) for f in facets), support
+
+
+def _ref_split(facets, x):
+    keep = [f for f in facets if x not in f]
+    cand = [f - {x} for f in facets if x in f]
+    return keep, cand, all(any(c < k for k in keep) for c in cand)
+
+
+def _ref_vertex_order(facets):
+    closed = {}
+    for f in facets:
+        for v in f:
+            closed.setdefault(v, set()).update(f)
+    return sorted(closed, key=lambda v: (-len(closed[v]) + 1, v))
+
+
+def _ref_translate(node, labels):
+    if node[0] == "simplex":
+        return node
+    return ("shed", labels[node[1]], _ref_translate(node[2], labels),
+            _ref_translate(node[3], labels))
+
+
+def _ref_search(facets, memo):
+    """(True, tree) or (False, stuck facet set), in the caller's labels."""
+    if len(facets) <= 1:
+        return True, ("simplex",)
+    key, labels = _ref_canonical(facets)
+    if key not in memo:
+        memo[key] = _ref_core(key, memo)
+    ok, payload = memo[key]
+    if ok:
+        return True, _ref_translate(payload, labels)
+    return False, frozenset(frozenset(labels[i] for i in f) for f in payload)
+
+
+def _ref_core(facets, memo):
+    for x in _ref_vertex_order(facets):
+        keep, cand, beta = _ref_split(facets, x)
+        if not beta:
+            continue
+        ok_d, tree_d = _ref_search(frozenset(keep), memo)
+        if not ok_d:
+            continue
+        ok_l, tree_l = _ref_search(frozenset(cand), memo)
+        if not ok_l:
+            continue
+        return True, ("shed", x, tree_d, tree_l)
+    return False, facets
+
+
+def _ref_certificate(delta, memo):
+    ok, payload = _ref_search(frozenset(delta.facets), memo)
+    if ok:
+        return VDCertificate(True, tree=payload)
+    stuck = tuple(tuple(sorted(f, key=str))
+                  for f in sorted(payload, key=lambda f: sorted(map(str, f))))
+    return VDCertificate(False, refutation=stuck)
+
+
+def _ref_shedding(delta, memo):
+    facets = frozenset(delta.facets)
+    out = []
+    for x in sorted({v for f in facets for v in f}):
+        keep, cand, beta = _ref_split(facets, x)
+        if (beta and _ref_search(frozenset(keep), memo)[0]
+                and _ref_search(frozenset(cand), memo)[0]):
+            out.append(x)
+    return out
+
+
+def test_bitmask_search_matches_label_reference():
+    """Byte-identical certificates, refutations and shedding lists.  Past
+    ten support labels the search orders canonical labels as decimal
+    strings (0, 1, 10, ...), and the kernel has to follow that order."""
+    rng = random.Random(41)
+    cases = [independence_complex(random_graph(rng, 11 + t % 8,
+                                               rng.uniform(0.3, 0.55)))
+             for t in range(40)]
+    for n in range(8, 13):
+        names = [f"x{i}" for i in rng.sample(range(10 * n), n)]
+        rng.shuffle(names)
+        g = cycle_graph(names)
+        cases.append(independence_complex(
+            build_whiskered(g, trivial_spec(g), "pi").graph))
+    memo = {}
+    verdicts = set()
+    for c in cases:
+        cert = is_vertex_decomposable(c)
+        assert cert.to_lines() == _ref_certificate(c, memo).to_lines()
+        assert shedding_vertices(c) == _ref_shedding(c, memo)
+        if cert.decomposable:
+            assert verify_certificate(c, cert)
+        verdicts.add(cert.decomposable)
+    assert verdicts == {True, False}

@@ -1,13 +1,18 @@
 """File formats, DOT export, and the command-line interface."""
 
 import io
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
-from whiskers import (build_whiskered, format_complex, format_graph,
+import whiskers
+from whiskers import (build_whiskered, cycle_graph, format_complex, format_graph,
                       format_partition, graph_to_dot, parse_complex,
-                      parse_graph, parse_partition)
+                      parse_graph, parse_partition, trivial_spec)
 from whiskers.cli import run
 from whiskers.io import ParseError
 from whiskers.randinst import random_complex_facets, random_instance
@@ -127,7 +132,39 @@ def test_cli_build_roundtrip(files):
 def test_cli_facets(files):
     code, text = run_cli("facets", "--graph", str(files / "c6.graph"),
                          "--partition", str(files / "ears.part"))
-    assert code == 0 and "18 facets" in text
+    assert code == 0 and text.endswith("18 facets\n"
+                                       "inclusion-exclusion count: 18\n"
+                                       "independent-set count: 18\n")
+
+
+def _write_pi_cycle(files, n):
+    g = cycle_graph([f"v{i}" for i in range(n)])
+    (files / f"c{n}.graph").write_text(format_graph(g))
+    (files / f"c{n}.part").write_text(format_partition(trivial_spec(g)))
+    return str(files / f"c{n}.graph"), str(files / f"c{n}.part")
+
+
+def test_cli_facets_skips_inclusion_exclusion_over_budget(files):
+    graph, part = _write_pi_cycle(files, 12)
+    start = time.perf_counter()
+    code, text = run_cli("facets", "--graph", graph, "--partition", part)
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert text.splitlines()[-3:] == [
+        "322 facets",
+        "inclusion-exclusion count: skipped "
+        "(29 maximal independent sets > bound 20)",
+        "independent-set count: 322"]
+
+
+def test_cli_betti_recursion_node_budget(files, capsys):
+    graph, part = _write_pi_cycle(files, 30)
+    start = time.perf_counter()
+    code, text = run_cli("betti", "--graph", graph, "--partition", part,
+                         "--method", "recursive")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and text == ""
+    assert capsys.readouterr().err.startswith("resource limit: ")
 
 
 def test_cli_poset(files):
@@ -199,3 +236,27 @@ def test_cli_deterministic_output(files):
     args = ("betti", "--graph", str(files / "l6.graph"),
             "--partition", str(files / "oddeven.part"), "--quotient")
     assert run_cli(*args) == run_cli(*args)
+
+
+def _fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(whiskers.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "whiskers.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cli_reused_parser_matches_fresh_process(files, capsys):
+    """One parser serves every run() call; no parsed value may carry over."""
+    l6, oddeven = str(files / "l6.graph"), str(files / "oddeven.part")
+    calls = [
+        ["betti", "--graph", l6, "--partition", oddeven, "--method", "both",
+         "--field", "3", "--quotient"],
+        ["betti", "--graph", l6, "--field", "4"],  # parse error: exit 2
+        ["betti", "--graph", l6, "--partition", oddeven],
+        ["check-vd", "--graph", str(files / "c6.graph"), "--expect-vd"],
+    ]
+    for argv in calls:
+        code, text = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert (code, text, err) == _fresh_process(argv), argv

@@ -5,8 +5,10 @@ from math import factorial
 
 import pytest
 
-from whiskers import (FacetPoset, PosetError, build_whiskered,
-                      count_facets_pi, independence_complex)
+from whiskers import (FacetPoset, PosetError, ResourceLimit, build_whiskered,
+                      count_facets_pi, cycle_graph, independence_complex,
+                      trivial_spec)
+from whiskers.poset import INCLUSION_EXCLUSION_MIS_BOUND
 from whiskers.randinst import random_instance
 
 from conftest import c6, c6_ears, c6_ears_spec, fig_odd_even
@@ -83,3 +85,14 @@ def test_random_pi_instances():
         for f in p.maximal_elements():
             r = len(f - p.whisker_set)
             assert p.interval_stats(f) == (2 ** r, factorial(r))
+
+
+def test_count_facets_pi_budget():
+    # C10 has 17 maximal independent sets and C12 has 29
+    c10 = cycle_graph([f"v{i}" for i in range(10)])
+    assert count_facets_pi(c10, trivial_spec(c10)) == 123
+    c12 = cycle_graph([f"v{i}" for i in range(12)])
+    with pytest.raises(ResourceLimit,
+                       match=f"29 maximal independent sets > bound "
+                             f"{INCLUSION_EXCLUSION_MIS_BOUND}"):
+        count_facets_pi(c12, trivial_spec(c12))

@@ -119,3 +119,12 @@ def test_random_instances_validate():
             assert validate_partitions(g, spec) == []
             w = build_whiskered(g, spec, kind)
             assert len(w.graph.vertices) <= 14
+
+
+def test_random_instance_raises_on_invalid_spec(monkeypatch):
+    # a raise, not an assert, so that python -O keeps the check
+    import whiskers.randinst as randinst
+    monkeypatch.setattr(randinst, "validate_partitions",
+                        lambda g, spec: ["clique W1 is empty", "second"])
+    with pytest.raises(WhiskerError, match="clique W1 is empty"):
+        random_instance(random.Random(0), "pi")
