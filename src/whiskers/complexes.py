@@ -19,14 +19,31 @@ class ComplexError(ValueError):
     pass
 
 
-def _antichain_max(sets: Iterable[frozenset]) -> list[frozenset]:
-    """Inclusion-maximal elements."""
-    uniq = sorted(set(sets), key=len, reverse=True)
-    out: list[frozenset] = []
-    for s in uniq:
-        if not any(s < t for t in out):
-            out.append(s)
-    return out
+def _maximal(masks: list[int]) -> list[int]:
+    """Indices of the inclusion-maximal masks; of equal masks, the first.
+
+    Masks are taken from largest to smallest.  Bit j of holders[b] says that
+    the j-th kept mask contains bit b, so a mask lies inside a kept one
+    exactly when the AND of holders over its bits is nonzero.
+    """
+    holders = [0] * max(masks, default=0).bit_length()
+    kept: list[int] = []
+    for i in sorted(range(len(masks)), key=lambda i: -masks[i].bit_count()):
+        inside = (1 << len(kept)) - 1
+        rest = masks[i]
+        while rest and inside:
+            low = rest & -rest
+            inside &= holders[low.bit_length() - 1]
+            rest ^= low
+        if inside:
+            continue
+        rest = masks[i]
+        while rest:
+            low = rest & -rest
+            holders[low.bit_length() - 1] |= 1 << len(kept)
+            rest ^= low
+        kept.append(i)
+    return kept
 
 
 class SimplicialComplex:
@@ -41,10 +58,12 @@ class SimplicialComplex:
         for f in fs:
             if not f <= pos.keys():
                 raise ComplexError(f"facet {sorted(f)} not within ambient set")
-        fs = _antichain_max(fs)
-        fs.sort(key=lambda f: tuple(sorted(pos[v] for v in f)))
+        bit = {v: 1 << i for v, i in pos.items()}
+        masks = [sum(map(bit.__getitem__, f)) for f in fs]
+        keep = _maximal(masks)
+        keep.sort(key=lambda i: tuple(_mask_bits(masks[i])))  # by positions
         self.ambient = amb
-        self.facets = tuple(fs)
+        self.facets = tuple(fs[i] for i in keep)
         self._pos = pos
 
     # -- basics --------------------------------------------------------------
@@ -220,7 +239,7 @@ def _subsets_of(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def _homology_masks(faces: set[int], k: FieldSpec) -> dict[int, int]:
+def _homology_masks(faces: Iterable[int], k: FieldSpec) -> dict[int, int]:
     """Reduced homology dims of a complex given as face bitmasks (incl. 0)."""
     by_dim: dict[int, list[int]] = {}
     for m in faces:

@@ -2,10 +2,11 @@
 unmixedness, and the componentwise-linear-dual criterion.
 
 The decomposability search works on facets stored as int bitmasks over a
-renumbered support, with a global memo table keyed by the canonical facet
-set, so label-coinciding subproblems across a whole test suite are solved
-once.  Vertex names become bits once, on the way in, and the certificate
-tree is translated back to names on the way out.  A subcomplex is renumbered
+renumbered support, with a memo table keyed by the canonical facet set, so
+label-coinciding subproblems within one top-level call are solved once.  The
+memo lives only as long as that call, so a long-lived process keeps none of
+it.  Vertex names become bits once, on the way in, and the certificate tree
+is translated back to names on the way out.  A subcomplex is renumbered
 in the order of its labels as strings: the names at the top, and the decimal
 strings of the parent's bit numbers below it (0, 1, 10, 11, ..., 2, ...).
 The trial order breaks ties by that numbering, so it fixes which
@@ -136,11 +137,12 @@ def _vertex_order(facets: frozenset[int]) -> list[int]:
     return sorted(range(len(closed)), key=lambda v: -closed[v].bit_count())
 
 
-# canonical facet bitmasks -> the tree in canonical labels, or False
-_vd_memo: dict[frozenset[int], Tree | bool] = {}
+# A memo maps canonical facet bitmasks to the tree in canonical labels, or
+# False; one lives for one top-level call.
+Memo = dict[frozenset[int], Tree | bool]
 
 
-def _vd_search(facets: list[int], names: list | None = None) -> Tree | bool:
+def _vd_search(facets: list[int], memo: Memo, names: list | None = None) -> Tree | bool:
     """The tree in the caller's labels, or False if not decomposable.
 
     Without ``names`` the caller's labels are its own bit numbers, and the
@@ -151,23 +153,23 @@ def _vd_search(facets: list[int], names: list | None = None) -> Tree | bool:
     if len(facets) <= 1:
         return ("simplex",)
     key, old = _canonical(facets, names is None)
-    tree = _vd_memo.get(key)
+    tree = memo.get(key)
     if tree is None:
-        tree = _vd_memo[key] = _vd_search_core(key)
+        tree = memo[key] = _vd_search_core(key, memo)
     if tree is False:
         return False
     return _translate_tree(tree, old if names is None else [names[i] for i in old])
 
 
-def _vd_search_core(facets: frozenset[int]) -> Tree | bool:
+def _vd_search_core(facets: frozenset[int], memo: Memo) -> Tree | bool:
     for x in _vertex_order(facets):
         split = _split_masks(facets, 1 << x)
         if split is None:
             continue
-        tree_d = _vd_search(split[0])
+        tree_d = _vd_search(split[0], memo)
         if tree_d is False:
             continue
-        tree_l = _vd_search(split[1])
+        tree_l = _vd_search(split[1], memo)
         if tree_l is False:
             continue
         return ("shed", x, tree_d, tree_l)
@@ -188,7 +190,8 @@ def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
     """
     if delta.is_void:
         raise ComplexError("void complex: vertex decomposability undefined")
-    tree = _vd_search(*_facet_masks(delta))
+    facets, names = _facet_masks(delta)
+    tree = _vd_search(facets, {}, names)
     if tree is not False:
         return VDCertificate(True, tree=tree)
     stuck = tuple(tuple(sorted(f, key=str))
@@ -242,13 +245,14 @@ def shedding_vertices(delta: SimplicialComplex, weak: bool = False) -> list[str]
     if delta.is_void:
         raise ComplexError("void complex has no shedding vertices")
     facets, names = _facet_masks(delta)
+    memo: Memo = {}
     out = []
     for i, x in enumerate(names):
         split = _split_masks(facets, 1 << i)
         if split is None:
             continue
-        if weak or (_vd_search(split[0], names) is not False
-                    and _vd_search(split[1], names) is not False):
+        if weak or (_vd_search(split[0], memo, names) is not False
+                    and _vd_search(split[1], memo, names) is not False):
             out.append(x)
     return out
 
@@ -309,8 +313,7 @@ def is_unmixed(g: Graph) -> bool:
     return len(sizes) <= 1
 
 
-def is_scm_via_dual(delta: SimplicialComplex, k: FieldSpec = GF2,
-                    ambient_bound: int = DEFAULT_SCM_AMBIENT_BOUND) -> bool:
+def is_scm_via_dual(delta: SimplicialComplex, k: FieldSpec = GF2) -> bool:
     """Sequential Cohen-Macaulayness via the componentwise-linear dual test.
 
     For each generator degree e of the dual's facet ideal, the squarefree
@@ -321,9 +324,9 @@ def is_scm_via_dual(delta: SimplicialComplex, k: FieldSpec = GF2,
 
     if delta.is_void:
         raise ComplexError("void complex: SCM test undefined")
-    if len(delta.ambient) > ambient_bound:
-        raise ResourceLimit(
-            f"ambient size {len(delta.ambient)} exceeds the SCM bound {ambient_bound}")
+    if len(delta.ambient) > DEFAULT_SCM_AMBIENT_BOUND:
+        raise ResourceLimit(f"ambient size {len(delta.ambient)} exceeds the SCM "
+                            f"bound {DEFAULT_SCM_AMBIENT_BOUND}")
     dual = ideal_of(delta.complement_facet_complex(), "facet")
     if dual.is_unit or dual.is_zero:
         return True
@@ -340,7 +343,7 @@ def is_scm_via_dual(delta: SimplicialComplex, k: FieldSpec = GF2,
             for extra in combinations(room, e - len(g)):
                 gens_e.add(g | frozenset(extra))
         comp = MonomialIdeal(dual.ambient, gens_e)
-        table = betti_oracle(comp, k, ambient_bound=ambient_bound)
+        table = betti_oracle(comp, k)
         if any(j != i + e for (i, j) in table.entries):
             return False
     return True

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Iterable
 
-from .complexes import SimplicialComplex, _homology_masks, _subsets_of
+from .complexes import SimplicialComplex, _homology_masks, _maximal
 from .fields import GF2, FieldSpec
 from .graph import Graph, ResourceLimit, _mask_bits
 from .whisker import WhiskeredGraph
@@ -29,15 +29,6 @@ RECURSION_NODE_BOUND = 5_000
 
 class IdealError(ValueError):
     pass
-
-
-def _minimal(sets: Iterable[frozenset]) -> list[frozenset]:
-    uniq = sorted(set(sets), key=len)
-    out: list[frozenset] = []
-    for s in uniq:
-        if not any(t < s or t == s for t in out):
-            out.append(s)
-    return out
 
 
 class MonomialIdeal:
@@ -56,9 +47,14 @@ class MonomialIdeal:
         for g in gens:
             if not g <= pos.keys():
                 raise IdealError(f"generator {sorted(g)} not within ambient set")
+        bit = {v: 1 << i for v, i in pos.items()}
+        masks = [sum(map(bit.__getitem__, g)) for g in gens]
+        # minimal generators: maximal complements within the ambient set
+        full = (1 << len(amb)) - 1
+        keep = _maximal([full ^ m for m in masks])
+        keep.sort(key=lambda i: tuple(_mask_bits(masks[i])))  # by positions
         self.ambient = amb
-        self.generators = tuple(sorted(_minimal(gens),
-                                       key=lambda g: tuple(sorted(pos[v] for v in g))))
+        self.generators = tuple(gens[i] for i in keep)
         self._pos = pos
 
     @property
@@ -193,70 +189,40 @@ def betti_join(t1: BettiTable, t2: BettiTable) -> BettiTable:
 _hom_cache: dict[tuple, dict[int, int]] = {}
 
 
-def _compact(masks: Iterable[int], w_bits: list[int]) -> tuple[int, ...]:
-    local = {b: i for i, b in enumerate(w_bits)}
-    out = []
-    for m in masks:
-        c = 0
-        for b in _mask_bits(m):
-            c |= 1 << local[b]
-        out.append(c)
-    return tuple(sorted(out))
-
-
-def _restriction_homology(w: int, gens_w: list[int], k: FieldSpec) -> dict[int, int]:
+def _restriction_homology(w: int, covered: list[int], faces_below: list[int],
+                          k: FieldSpec) -> dict[int, int]:
     """Reduced homology dims of the restriction to W of the complex whose
-    minimal nonfaces are gens_w (all contained in W, jointly covering W).
+    faces are the S with covered[S] == 0.
 
-    Chooses between enumerating faces directly and enumerating the faces of
-    the combinatorial Alexander dual (facets W minus g), whichever is
-    smaller, using H~_i(D) = H~_{|W|-i-3}(D^dual).
+    faces_below[W] counts the faces inside W.  The faces of the Alexander
+    dual inside W are the S whose complement W - S is a nonface, so the two
+    counts add up to 2^|W|; the smaller family is walked, and a dual result
+    is read through H~_i(D) = H~_{|W|-i-3}(D^dual).  Both families are closed
+    under subsets, so adding the bits of W in increasing order from the
+    empty set reaches every member.  Faces are kept in W's own numbering,
+    which makes the list a cache key for every W with the same complex.
     """
-    w_bits = list(_mask_bits(w))
+    w_bits = [1 << b for b in _mask_bits(w)]
     nw = len(w_bits)
-    dual_facets = [w & ~g for g in gens_w]
-    dual_budget = sum(1 << f.bit_count() for f in dual_facets)
-
-    # primal face enumeration with an abort cap at the dual budget
-    gens_at: dict[int, list[int]] = {b: [] for b in w_bits}
-    for g in gens_w:
-        for b in _mask_bits(g):
-            gens_at[b].append(g)
+    dual = 2 * faces_below[w] > 1 << nw
     faces: list[int] = []
-    cap = dual_budget
 
-    def rec(mask: int, start: int) -> bool:
-        faces.append(mask)
-        if len(faces) > cap:
-            return False
-        for idx in range(start, nw):
-            b = w_bits[idx]
-            nm = mask | (1 << b)
-            if any(g & ~nm == 0 for g in gens_at[b]):
-                continue
-            if not rec(nm, idx + 1):
-                return False
-        return True
+    def walk(s: int, local: int, start: int) -> None:
+        faces.append(local)
+        for i in range(start, nw):
+            t = s | w_bits[i]
+            if covered[w ^ t] if dual else not covered[t]:
+                walk(t, local | 1 << i, i + 1)
 
-    if rec(0, 0):
-        key = ("p", _compact(faces, w_bits), k.p)
-        hit = _hom_cache.get(key)
-        if hit is None:
-            hit = _homology_masks(set(faces), k)
-            _hom_cache[key] = hit
-        return hit
-
-    dual_faces: set[int] = set()
-    for f in dual_facets:
-        if f in dual_faces:
-            continue
-        dual_faces.update(_subsets_of(f))
-    key = ("d", _compact(dual_faces, w_bits), k.p)
+    walk(0, 0, 0)
+    # the walk's order depends only on the family, so the list is canonical
+    key = (tuple(faces), k.p)
     hit = _hom_cache.get(key)
     if hit is None:
-        hit = _homology_masks(dual_faces, k)
-        _hom_cache[key] = hit
-    return {nw - d - 3: dim for d, dim in hit.items() if dim}
+        hit = _hom_cache[key] = _homology_masks(faces, k)
+    if dual:
+        return {nw - d - 3: dim for d, dim in hit.items() if dim}
+    return hit
 
 
 def betti_oracle(ideal: MonomialIdeal, k: FieldSpec = GF2,
@@ -264,8 +230,11 @@ def betti_oracle(ideal: MonomialIdeal, k: FieldSpec = GF2,
     """Exact graded Betti numbers of the ideal over k.
 
     Sums reduced homology over all vertex-subset restrictions of the complex
-    whose Stanley-Reisner ideal this is.  Only subsets in which every vertex
-    lies inside some contained generator can contribute.
+    whose Stanley-Reisner ideal this is (Hochster's formula).  Two subset
+    tables drive it: covered[S], the union of the generators inside S, which
+    is 0 exactly when S is a face; and faces_below[W], the number of faces
+    inside W.  Only the W with covered[W] == W can contribute: a vertex of W
+    in no generator inside W is a cone point of the restriction.
     """
     if ideal.is_zero:
         return BettiTable(k, {}, "ideal")
@@ -275,24 +244,30 @@ def betti_oracle(ideal: MonomialIdeal, k: FieldSpec = GF2,
     if n > ambient_bound:
         raise ResourceLimit(f"ambient size {n} exceeds the oracle bound {ambient_bound}")
     pos = {v: i for i, v in enumerate(ideal.ambient)}
-    gen_masks = sorted({sum(1 << pos[v] for v in g) for g in ideal.generators})
 
     # subset-zeta DP: covered[W] = union of generators contained in W
     covered = [0] * (1 << n)
-    for g in gen_masks:
-        covered[g] |= g
+    for g in ideal.generators:
+        m = sum(1 << pos[v] for v in g)
+        covered[m] = m
     for b in range(n):
         bit = 1 << b
         for w in range(1 << n):
             if w & bit:
                 covered[w] |= covered[w ^ bit]
+    # the same DP: faces_below[W] = number of faces S inside W
+    faces_below = [int(not c) for c in covered]
+    for b in range(n):
+        bit = 1 << b
+        for w in range(1 << n):
+            if w & bit:
+                faces_below[w] += faces_below[w ^ bit]
 
     entries: dict[tuple[int, int], int] = {}
     for w in range(1, 1 << n):
         if covered[w] != w:
             continue
-        gens_w = [g for g in gen_masks if g & ~w == 0]
-        hdims = _restriction_homology(w, gens_w, k)
+        hdims = _restriction_homology(w, covered, faces_below, k)
         j = w.bit_count()
         for hdeg, dim in hdims.items():
             i = j - hdeg - 2
@@ -351,8 +326,7 @@ class ClosedFormBetti:
         return self.oracle != self.formula
 
 
-def betti_closed_pi(g: Graph, spec, i: int, k: FieldSpec = GF2,
-                    oracle_bound: int = DEFAULT_ORACLE_AMBIENT_BOUND) -> ClosedFormBetti:
+def betti_closed_pi(g: Graph, spec, i: int, k: FieldSpec = GF2) -> ClosedFormBetti:
     """Evaluate the closed-form beta_{i, i+n} of the pi-build's cover ideal
     (n = base vertex count) alongside the oracle; the oracle adjudicates."""
     from .complexes import independence_complex
@@ -365,13 +339,12 @@ def betti_closed_pi(g: Graph, spec, i: int, k: FieldSpec = GF2,
     f = ind.f_vector()
     d = ind.dim
     formula = sum(comb(j, i) * f[j] for j in range(1, d + 2))
-    table = betti_oracle(ideal_of(wg.graph, "cover"), k, oracle_bound)
+    table = betti_oracle(ideal_of(wg.graph, "cover"), k)
     oracle = table.get(i, i + len(g.vertices))
     return ClosedFormBetti(i, oracle, formula)
 
 
-def has_linear_resolution(ideal: MonomialIdeal, k: FieldSpec = GF2,
-                          ambient_bound: int = DEFAULT_ORACLE_AMBIENT_BOUND) -> bool:
+def has_linear_resolution(ideal: MonomialIdeal, k: FieldSpec = GF2) -> bool:
     """All generators in one degree e and beta_{i,j} = 0 unless j = i + e."""
     if ideal.is_zero or ideal.is_unit:
         return True
@@ -379,5 +352,5 @@ def has_linear_resolution(ideal: MonomialIdeal, k: FieldSpec = GF2,
     if len(degrees) > 1:
         return False
     e = degrees.pop()
-    table = betti_oracle(ideal, k, ambient_bound)
+    table = betti_oracle(ideal, k)
     return all(j == i + e for (i, j) in table.entries)

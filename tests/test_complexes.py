@@ -1,14 +1,16 @@
 """Facet-list complexes: duality, deletion/link, f/h vectors, homology."""
 
 import random
+import time
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whiskers import (ComplexError, SimplicialComplex, cycle_graph,
-                      independence_complex, simplex_on)
+from whiskers import (ComplexError, SimplicialComplex, build_whiskered,
+                      cycle_graph, independence_complex, simplex_on,
+                      trivial_spec)
 from whiskers.fields import GF2, QQ, FieldSpec
 from whiskers.randinst import random_complex_facets
 
@@ -38,6 +40,28 @@ def test_void_vs_irrelevant():
 def test_facets_form_antichain():
     c = SimplicialComplex(["1", "2", "3"], [("1", "2"), ("1",), ("3",)])
     assert c.facet_tuples() == [("1", "2"), ("3",)]
+    # the bitmask filter against a pairwise one, on seeded families
+    rng = random.Random(3)
+    for _ in range(300):
+        amb = [str(i) for i in range(rng.randint(0, 8))]
+        family = [frozenset(rng.sample(amb, rng.randint(0, len(amb))))
+                  for _ in range(rng.randint(0, 12))]
+        want = {s for s in family if not any(s < t for t in family)}
+        facets = SimplicialComplex(amb, family).facets
+        assert len(facets) == len(want) and set(facets) == want
+        assert list(facets) == sorted(facets, key=lambda f: sorted(map(int, f)))
+
+
+def test_independence_complex_of_large_pi_build():
+    """Maximal independent sets are already an antichain, so the maximal-set
+    filter must not be quadratic in them.  The pi build of C20 has one facet
+    per independent set of C20: 15,127 of them."""
+    c20 = cycle_graph([f"v{i}" for i in range(20)])
+    g = build_whiskered(c20, trivial_spec(c20), "pi").graph
+    start = time.process_time()
+    ind = independence_complex(g)
+    assert time.process_time() - start < 3.0
+    assert len(ind.facets) == c20.independent_set_count() == 15127
 
 
 def test_faces_and_nonfaces():

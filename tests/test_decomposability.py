@@ -1,6 +1,7 @@
 """Vertex decomposability, certificates, shedding, shellability, SCM."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,23 @@ def test_scm_examples():
     # Ind(C6) itself is not SCM over Q or F2
     assert not is_scm_via_dual(independence_complex(c6()), QQ)
     assert not is_scm_via_dual(independence_complex(c6()), GF2)
+
+
+def test_vd_memo_is_released_after_each_call():
+    """The memo lives for one top-level call, so a long-lived process keeps
+    none of it once the calls return."""
+    rng = random.Random(12)
+    cases = [independence_complex(random_graph(rng, rng.randint(12, 15), 0.35))
+             for _ in range(60)]
+    tracemalloc.start()
+    try:
+        for c in cases:
+            is_vertex_decomposable(c)
+            shedding_vertices(c)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 500_000
 
 
 def test_scm_on_random_builds():

@@ -122,9 +122,16 @@ def small_ideals(rng, max_n=5):
 
 def test_oracle_matches_koszul_homology():
     rng = random.Random(2024)
-    for t in range(25):
-        ideal = small_ideals(rng)
-        field = QQ if t % 4 == 0 else GF2
+    cases = [(small_ideals(rng), QQ if t % 4 == 0 else GF2) for t in range(25)]
+    # cover ideals walk mostly the Alexander dual's faces, edge ideals mostly
+    # the restriction's own faces
+    for _ in range(6):
+        g = random_graph(rng, rng.randint(3, 6), rng.uniform(0.3, 0.7))
+        cases += [(ideal_of(g, "cover"), GF2), (ideal_of(g, "edge"), GF2)]
+    # W = {x1} has as many faces as dual faces; the tie walks the faces
+    cases.append((MonomialIdeal(["x1", "x2", "x3", "x4"],
+                                [("x1",), ("x2", "x3"), ("x3", "x4")]), QQ))
+    for ideal, field in cases:
         got = betti_oracle(ideal, field).as_quotient().entries
         want = koszul_betti(ideal, field.p or 0)
         assert got == want, (ideal.generator_tuples(), got, want)
@@ -163,6 +170,16 @@ def test_ideal_kinds_and_identities():
 def test_generator_antichain():
     ideal = MonomialIdeal("abc", [("a",), ("a", "b"), ("b", "c")])
     assert ideal.generator_tuples() == [("a",), ("b", "c")]
+    # the bitmask filter against a pairwise one, on seeded families
+    rng = random.Random(3)
+    for _ in range(300):
+        amb = [str(i) for i in range(rng.randint(0, 8))]
+        family = [frozenset(rng.sample(amb, rng.randint(0, len(amb))))
+                  for _ in range(rng.randint(0, 12))]
+        want = {s for s in family if not any(t < s for t in family)}
+        gens = MonomialIdeal(amb, family).generators
+        assert len(gens) == len(want) and set(gens) == want
+        assert list(gens) == sorted(gens, key=lambda g: sorted(map(int, g)))
 
 
 def test_unit_and_zero_conventions():
