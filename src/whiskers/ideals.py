@@ -13,8 +13,10 @@ tables carry the (0,0) -> 1 entry of S/I.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cache
+from itertools import compress
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .complexes import SimplicialComplex, _homology_masks, _maximal
 from .fields import GF2, FieldSpec
@@ -186,93 +188,158 @@ def betti_join(t1: BettiTable, t2: BettiTable) -> BettiTable:
 
 # -- the homology oracle -------------------------------------------------------
 
+# Homology by face list and field.  A pass of the scm benchmark workload
+# fills 3-4k entries; a cache that reaches the bound is cleared and starts
+# over.
+HOM_CACHE_BOUND = 1 << 16
 _hom_cache: dict[tuple, dict[int, int]] = {}
 
+_ASCII_BITS = bytes.maketrans(b"01", b"\0\1")
 
-def _restriction_homology(w: int, covered: list[int], faces_below: list[int],
+
+@cache
+def _subset_masks(n: int, width: int) -> tuple[int, ...]:
+    """masks[b] packs one width-bit field per subset W of n vertices, field
+    W at bit width * W; the field is all ones when b is not in W, else 0.
+
+    Built by doubling: a run of 2^b full fields, then that run with 2^b
+    empty fields after it, repeated 2^(n-b-1) times.  Kept for the life of
+    the process; at n = 16 the 24-bit set is 3 MB.
+    """
+    masks = []
+    run, span = (1 << width) - 1, width
+    for b in range(n):
+        m, period = run, span << 1
+        for _ in range(b + 1, n):
+            m |= m << period
+            period <<= 1
+        masks.append(m)
+        run |= run << span
+        span <<= 1
+    return tuple(masks)
+
+
+def _up_closure(bits: int, masks: tuple[int, ...]) -> int:
+    """The supersets of the subsets whose bits are set (width 1)."""
+    for b, m in enumerate(masks):
+        bits |= (bits & m) << (1 << b)
+    return bits
+
+
+def _byte_table(bits: int, size: int) -> bytes:
+    """Bits 0 .. size-1 as one 0/1 byte each."""
+    return format(bits, f"0{size}b").encode()[::-1].translate(_ASCII_BITS)
+
+
+def _restriction_homology(w: int, nonface: bytes, faces: int,
                           k: FieldSpec) -> dict[int, int]:
     """Reduced homology dims of the restriction to W of the complex whose
-    faces are the S with covered[S] == 0.
+    faces are the S with nonface[S] == 0; ``faces`` counts those inside W.
 
-    faces_below[W] counts the faces inside W.  The faces of the Alexander
-    dual inside W are the S whose complement W - S is a nonface, so the two
-    counts add up to 2^|W|; the smaller family is walked, and a dual result
-    is read through H~_i(D) = H~_{|W|-i-3}(D^dual).  Both families are closed
-    under subsets, so adding the bits of W in increasing order from the
-    empty set reaches every member.  Faces are kept in W's own numbering,
-    which makes the list a cache key for every W with the same complex.
+    The faces of the Alexander dual inside W are the S whose complement
+    W - S is a nonface, so the two counts add up to 2^|W|; the smaller
+    family is walked (the faces on a tie), and a dual result is read through
+    H~_i(D) = H~_{|W|-i-3}(D^dual).  Both families are closed under subsets,
+    so adding the bits of W in increasing order from the empty set reaches
+    every member.  Faces are kept in W's own numbering, which makes the list
+    a cache key for every W with the same complex.
     """
     w_bits = [1 << b for b in _mask_bits(w)]
     nw = len(w_bits)
-    dual = 2 * faces_below[w] > 1 << nw
-    faces: list[int] = []
+    dual = 2 * faces > 1 << nw
+    found: list[int] = []
 
     def walk(s: int, local: int, start: int) -> None:
-        faces.append(local)
+        found.append(local)
         for i in range(start, nw):
             t = s | w_bits[i]
-            if covered[w ^ t] if dual else not covered[t]:
+            if nonface[w ^ t] if dual else not nonface[t]:
                 walk(t, local | 1 << i, i + 1)
 
     walk(0, 0, 0)
     # the walk's order depends only on the family, so the list is canonical
-    key = (tuple(faces), k.p)
+    key = (tuple(found), k.p)
     hit = _hom_cache.get(key)
     if hit is None:
-        hit = _hom_cache[key] = _homology_masks(faces, k)
+        if len(_hom_cache) >= HOM_CACHE_BOUND:
+            _hom_cache.clear()
+        hit = _hom_cache[key] = _homology_masks(found, k)
     if dual:
         return {nw - d - 3: dim for d, dim in hit.items() if dim}
     return hit
+
+
+def _subset_tables(gens: list[int], n: int) -> tuple[bytes, bytes, bytes, int]:
+    """Tables over the 2^n subsets of n vertices with the given distinct
+    generator masks, built with whole-table big-int operations instead of a
+    loop over subsets.  Returns (nonface, contributing, faces_below, nbytes):
+    - nonface: 0/1 per subset, the upward closure of the generators, built as
+      a bitset with one bit per subset;
+    - contributing: 0/1 per subset, 1 for the nonempty W in which every
+      vertex lies in a generator inside W.  Any other W has a cone point, so
+      its restriction is acyclic.  It is the AND over vertices b of "b not
+      in W, or W contains a generator holding b";
+    - faces_below: one little-endian counter of nbytes = n // 8 + 1 bytes
+      per subset (so 2^n fits), the number of faces inside it: the face
+      indicator summed over subsets, one shift-add per vertex.
+    """
+    size = 1 << n
+    full = (1 << size) - 1
+    masks = _subset_masks(n, 1)
+    nonfaces = _up_closure(sum(1 << m for m in gens), masks)
+    contributing = full ^ 1  # W = 0 never contributes
+    for b in range(n):
+        holders = sum(1 << m for m in gens if m >> b & 1)
+        contributing &= masks[b] | _up_closure(holders, masks)
+
+    nbytes = n // 8 + 1
+    packed = bytearray(nbytes * size)
+    packed[::nbytes] = _byte_table(full ^ nonfaces, size)
+    below = int.from_bytes(packed, "little")
+    for b, m in enumerate(_subset_masks(n, 8 * nbytes)):
+        below += (below & m) << (8 * nbytes << b)
+    return (_byte_table(nonfaces, size), _byte_table(contributing, size),
+            below.to_bytes(nbytes * size, "little"), nbytes)
+
+
+def _betti_terms(ideal: MonomialIdeal, k: FieldSpec,
+                 ambient_bound: int) -> Iterator[tuple[int, int, int]]:
+    """The nonzero (i, j, dim) terms of Hochster's sum for a proper nonzero
+    ideal, restriction by restriction in increasing order of W."""
+    n = len(ideal.ambient)
+    if n > ambient_bound:
+        raise ResourceLimit(f"ambient size {n} exceeds the oracle bound {ambient_bound}")
+    pos = {v: i for i, v in enumerate(ideal.ambient)}
+    gens = [sum(1 << pos[v] for v in g) for g in ideal.generators]
+    nonface, contributing, faces_below, nbytes = _subset_tables(gens, n)
+    for w in compress(range(1 << n), contributing):
+        at = nbytes * w
+        faces = int.from_bytes(faces_below[at:at + nbytes], "little")
+        j = w.bit_count()
+        for hdeg, dim in _restriction_homology(w, nonface, faces, k).items():
+            i = j - hdeg - 2
+            if i >= 0 and dim:
+                yield i, j, dim
 
 
 def betti_oracle(ideal: MonomialIdeal, k: FieldSpec = GF2,
                  ambient_bound: int = DEFAULT_ORACLE_AMBIENT_BOUND) -> BettiTable:
     """Exact graded Betti numbers of the ideal over k.
 
-    Sums reduced homology over all vertex-subset restrictions of the complex
-    whose Stanley-Reisner ideal this is (Hochster's formula).  Two subset
-    tables drive it: covered[S], the union of the generators inside S, which
-    is 0 exactly when S is a face; and faces_below[W], the number of faces
-    inside W.  Only the W with covered[W] == W can contribute: a vertex of W
-    in no generator inside W is a cone point of the restriction.
+    Sums reduced homology over the vertex-subset restrictions of the complex
+    whose Stanley-Reisner ideal this is (Hochster's formula).  Bitset tables
+    over all 2^n subsets pick the restrictions that can contribute and tell
+    each walk which subsets are faces and whether the restriction or its
+    Alexander dual has fewer faces (see ``_subset_tables``).  Raises
+    ResourceLimit over ``ambient_bound`` variables.
     """
     if ideal.is_zero:
         return BettiTable(k, {}, "ideal")
     if ideal.is_unit:
         return BettiTable(k, {(0, 0): 1}, "ideal")
-    n = len(ideal.ambient)
-    if n > ambient_bound:
-        raise ResourceLimit(f"ambient size {n} exceeds the oracle bound {ambient_bound}")
-    pos = {v: i for i, v in enumerate(ideal.ambient)}
-
-    # subset-zeta DP: covered[W] = union of generators contained in W
-    covered = [0] * (1 << n)
-    for g in ideal.generators:
-        m = sum(1 << pos[v] for v in g)
-        covered[m] = m
-    for b in range(n):
-        bit = 1 << b
-        for w in range(1 << n):
-            if w & bit:
-                covered[w] |= covered[w ^ bit]
-    # the same DP: faces_below[W] = number of faces S inside W
-    faces_below = [int(not c) for c in covered]
-    for b in range(n):
-        bit = 1 << b
-        for w in range(1 << n):
-            if w & bit:
-                faces_below[w] += faces_below[w ^ bit]
-
     entries: dict[tuple[int, int], int] = {}
-    for w in range(1, 1 << n):
-        if covered[w] != w:
-            continue
-        hdims = _restriction_homology(w, covered, faces_below, k)
-        j = w.bit_count()
-        for hdeg, dim in hdims.items():
-            i = j - hdeg - 2
-            if i >= 0 and dim:
-                entries[(i, j)] = entries.get((i, j), 0) + dim
+    for i, j, dim in _betti_terms(ideal, k, ambient_bound):
+        entries[(i, j)] = entries.get((i, j), 0) + dim
     return BettiTable(k, entries, "ideal")
 
 
@@ -352,5 +419,6 @@ def has_linear_resolution(ideal: MonomialIdeal, k: FieldSpec = GF2) -> bool:
     if len(degrees) > 1:
         return False
     e = degrees.pop()
-    table = betti_oracle(ideal, k)
-    return all(j == i + e for (i, j) in table.entries)
+    # stops at the first term off the strand
+    return all(j == i + e for i, j, _ in
+               _betti_terms(ideal, k, DEFAULT_ORACLE_AMBIENT_BOUND))

@@ -6,9 +6,8 @@ code with the package's Hochster-style oracle.
 """
 
 import random
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -17,7 +16,9 @@ from whiskers import (betti_closed_pi, betti_join, betti_oracle,
                       has_linear_resolution, ideal_of, independence_complex,
                       trivial_spec)
 from whiskers.fields import GF2, QQ, FieldSpec, rank_modp, rank_rational
-from whiskers.ideals import BettiTable, IdealError, MonomialIdeal, ResourceLimit
+from whiskers.ideals import (HOM_CACHE_BOUND, BettiTable, IdealError,
+                             MonomialIdeal, ResourceLimit, _hom_cache,
+                             _subset_masks, _subset_tables)
 from whiskers.randinst import random_build, random_graph
 
 from conftest import c6, c6_ears_spec
@@ -26,60 +27,77 @@ from conftest import c6, c6_ears_spec
 # -- independent Koszul oracle --------------------------------------------------
 
 def _rank_gf2(rows):
-    rows = [r for r in rows if r]
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        rank += 1
-        low = pivot & -pivot
-        rows = [r ^ pivot if r & low else r for r in rows]
-        rows = [r for r in rows if r]
-    return rank
+    """Rank of int-bitset rows: reduce each row by the kept rows, keyed by
+    their lowest bit, and keep what is left."""
+    kept = {}
+    for r in rows:
+        while r:
+            low = r & -r
+            if low not in kept:
+                kept[low] = r
+                break
+            r ^= kept[low]
+    return len(kept)
 
 
 def _rank_q(rows):
-    rows = [[Fraction(x) for x in r] for r in rows if any(r)]
+    """Rank over QQ by fraction-free sparse elimination: rows are {col: int}
+    and a row is cleared with integer multiples of the pivot, then divided
+    by the gcd of its entries."""
+    work = [{c: x for c, x in enumerate(r) if x} for r in rows]
+    work = [r for r in work if r]
     rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rows and col < ncols:
-        piv = next((i for i, r in enumerate(rows) if r[col]), None)
-        if piv is None:
-            col += 1
-            continue
-        row = rows.pop(piv)
+    while work:
+        col = min(min(r) for r in work)
+        pivot = next(r for r in work if col in r)
         rank += 1
-        inv = 1 / row[col]
-        row = [x * inv for x in row]
-        rows = [[x - r[col] * y for x, y in zip(r, row)] if r[col] else r
-                for r in rows]
-        rows = [r for r in rows if any(r)]
-        col += 1
+        a = pivot[col]
+        rest = []
+        for r in work:
+            if r is pivot:
+                continue
+            b = r.get(col)
+            if b is not None:
+                r = {c: a * r.get(c, 0) - b * pivot.get(c, 0)
+                     for c in r.keys() | pivot.keys()}
+                r = {c: x for c, x in r.items() if x}
+                g = gcd(*r.values()) if r else 1
+                r = {c: x // g for c, x in r.items()}
+            if r:
+                rest.append(r)
+        work = rest
     return rank
 
 
 def koszul_betti(ideal, p):
     """{(i, j): beta_{i,j}(S/I)} for the quotient, j up to the variable count."""
     n = len(ideal.ambient)
-    pos = {v: t for t, v in enumerate(ideal.ambient)}
-    gens = [tuple(1 if v in g else 0 for v in ideal.ambient)
+    gens = [sum(1 << t for t, v in enumerate(ideal.ambient) if v in g)
             for g in ideal.generator_tuples()]
 
     def in_ideal(u):
-        return any(all(u[t] >= g[t] for t in range(n)) for g in gens)
+        # squarefree generators: g divides u iff it lies in u's support
+        support = sum(1 << t for t, e in enumerate(u) if e)
+        return any(g & support == g for g in gens)
+
+    standard = {}  # degree -> monomials outside the ideal
 
     def monomials(deg):
-        for c in combinations_with_replacement(range(n), deg):
-            u = [0] * n
-            for t in c:
-                u[t] += 1
-            yield tuple(u)
+        if deg not in standard:
+            standard[deg] = []
+            for c in combinations_with_replacement(range(n), deg):
+                u = [0] * n
+                for t in c:
+                    u[t] += 1
+                if not in_ideal(u):
+                    standard[deg].append(tuple(u))
+        return standard[deg]
 
     def basis(i, j):
         if not 0 <= i <= n or j - i < 0:
             return []
         return [(T, u) for T in combinations(range(n), i)
-                for u in monomials(j - i) if not in_ideal(u)]
+                for u in monomials(j - i)]
 
     def rank_d(i, j):
         dom, cod = basis(i, j), basis(i - 1, j)
@@ -287,6 +305,85 @@ def test_recursion_k_polynomial_past_oracle_bound():
             == {j: c for j, c in expected.items() if c}, w.graph
 
 
+def _face_sizes(n, adj, cover):
+    """Faces of the complex of I(G) (independent sets) or of J(G) (sets
+    whose complement holds an edge), counted by size over all 2^n subsets."""
+    independent = bytearray(1 << n)
+    independent[0] = 1
+    counts = [0] * (n + 1)
+    for s in range(1, 1 << n):
+        b = (s & -s).bit_length() - 1
+        independent[s] = independent[s & (s - 1)] and not adj[b] & s
+    full = (1 << n) - 1
+    for s in range(1 << n):
+        if not independent[full ^ s] if cover else independent[s]:
+            counts[s.bit_count()] += 1
+    return counts
+
+
+def test_oracle_k_polynomial_up_to_bound():
+    """sum_{i,j} (-1)^i beta_{i,j}(S/I) t^j = sum_F t^|F| (1-t)^(n-|F|) over
+    the faces F of the complex of I, for cover ideals of builds with 12-16
+    vertices and edge ideals of graphs with up to 13, so the bitset tables
+    are exercised up to the oracle's bound."""
+    rng = random.Random(31)
+    cases = []
+    for n in (12, 13, 14, 15, 16, 16):
+        while True:
+            w = random_build(rng, ["pi", "cc", "mc", "md"][len(cases) % 4],
+                             max_base=8, max_total=n)
+            if len(w.graph) == n:
+                break
+        cases.append((w.graph, "cover"))
+    for n in (11, 12, 13):
+        cases.append((random_graph(rng, n, rng.uniform(0.3, 0.6)), "edge"))
+    for g, kind in cases:
+        n = len(g)
+        pos = {v: b for b, v in enumerate(g.vertices)}
+        adj = [sum(1 << pos[u] for u in g.neighbors(v)) for v in g.vertices]
+        expected: dict[int, int] = {}
+        for f, count in enumerate(_face_sizes(n, adj, kind == "cover")):
+            for e in range(n - f + 1):  # t^f (1-t)^(n-f), term t^(f+e)
+                expected[f + e] = expected.get(f + e, 0) \
+                    + count * comb(n - f, e) * (-1) ** e
+        got: dict[int, int] = {}
+        table = betti_oracle(ideal_of(g, kind), GF2).as_quotient()
+        for (i, j), beta in table.entries.items():
+            got[j] = got.get(j, 0) + (-1) ** i * beta
+        assert {j: c for j, c in got.items() if c} \
+            == {j: c for j, c in expected.items() if c}, (kind, g)
+
+
+
+def test_subset_tables_match_per_subset_reference():
+    """The bitset tables of the oracle and the masks they are built from,
+    against one loop over all subsets."""
+    for n in range(7):
+        for width in (1, 8, 16, 24):
+            field = (1 << width) - 1
+            want = tuple(sum(field << width * w for w in range(1 << n)
+                             if not w >> b & 1) for b in range(n))
+            assert _subset_masks(n, width) == want, (n, width)
+    rng = random.Random(12)
+    for t in range(60):
+        n = 1 + t % 10
+        gens = sorted({rng.getrandbits(n) | 1 << rng.randrange(n)
+                       for _ in range(rng.randint(0, n + 2))})
+        nonface, contributing, faces_below, nbytes = _subset_tables(gens, n)
+        covered = [0] * (1 << n)
+        for s in range(1 << n):
+            for g in gens:
+                if g & s == g:
+                    covered[s] |= g
+        assert list(nonface) == [int(c != 0) for c in covered], gens
+        assert list(contributing) == [int(s != 0 and c == s)
+                                      for s, c in enumerate(covered)], gens
+        counts = [int.from_bytes(faces_below[nbytes * w:nbytes * (w + 1)],
+                                 "little") for w in range(1 << n)]
+        assert counts == [sum(not covered[s] for s in range(w + 1) if s & w == s)
+                          for w in range(1 << n)], gens
+
+
 def test_join_formula_matches_oracle():
     rng = random.Random(8)
     for t in range(25):
@@ -342,12 +439,33 @@ def test_froeberg_criterion():
             == g.complement().is_chordal()[0]
     # principal ideals always have a linear (trivial) resolution
     assert has_linear_resolution(MonomialIdeal("abc", [("a", "b")]), GF2)
+    # the early exit against the full table, on ideals of one degree
+    for _ in range(60):  # about a quarter of these are not linear
+        n = rng.randint(3, 8)
+        amb = [f"x{t}" for t in range(n)]
+        e = rng.randint(2, n - 1)
+        ideal = MonomialIdeal(amb, [rng.sample(amb, e)
+                                    for _ in range(rng.randint(2, 8))])
+        table = betti_oracle(ideal, GF2)
+        assert has_linear_resolution(ideal, GF2) \
+            == all(j == i + e for (i, j) in table.entries), ideal.generators
 
 
 def test_oracle_resource_limit():
     big = MonomialIdeal([f"x{i}" for i in range(20)], [("x0", "x1")])
     with pytest.raises(ResourceLimit):
         betti_oracle(big, GF2, ambient_bound=10)
+
+
+def test_hom_cache_is_bounded():
+    """A full cache is cleared on the next miss, and the table is unchanged."""
+    ideal = ideal_of(c6(), "edge")
+    want = betti_oracle(ideal, GF2)
+    _hom_cache.clear()
+    _hom_cache.update({("filler", t): {} for t in range(HOM_CACHE_BOUND)})
+    assert betti_oracle(ideal, GF2) == want
+    assert 0 < len(_hom_cache) < HOM_CACHE_BOUND
+    assert not any(key[0] == "filler" for key in _hom_cache)
 
 
 def test_tsv_output():
