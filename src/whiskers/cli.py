@@ -16,8 +16,8 @@ from .complexes import ComplexError, independence_complex
 from .decomposability import is_vertex_decomposable
 from .fields import FieldSpec
 from .graph import GraphError, ResourceLimit
-from .ideals import (DEFAULT_ORACLE_AMBIENT_BOUND, IdealError, betti_oracle,
-                     betti_recursive_cover, ideal_of)
+from .ideals import (DEFAULT_ORACLE_AMBIENT_BOUND, ORACLE_AMBIENT_CEILING,
+                     IdealError, betti_oracle, betti_recursive_cover, ideal_of)
 from .io import (ParseError, format_graph, graph_to_dot, parse_complex,
                  parse_graph, parse_partition)
 from .poset import FacetPoset, PosetError, count_facets_pi
@@ -193,7 +193,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="report the quotient ring convention")
     s.add_argument("--oracle-bound", type=int,
                    default=DEFAULT_ORACLE_AMBIENT_BOUND,
-                   help="ambient vertex bound for the homology oracle")
+                   help="ambient vertex bound for the homology oracle "
+                        f"(at most {ORACLE_AMBIENT_CEILING} takes effect)")
     s.set_defaults(fn=cmd_betti)
 
     s = sub.add_parser("properties", help="seeded random invariant suites")

@@ -1,16 +1,22 @@
 """Vertex decomposability certificates, shedding vertices, shellability,
 unmixedness, and the componentwise-linear-dual criterion.
 
-The decomposability search works on facets stored as int bitmasks over a
-renumbered support, with a memo table keyed by the canonical facet set, so
-label-coinciding subproblems within one top-level call are solved once.  The
-memo lives only as long as that call, so a long-lived process keeps none of
-it.  Vertex names become bits once, on the way in, and the certificate tree
-is translated back to names on the way out.  A subcomplex is renumbered
-in the order of its labels as strings: the names at the top, and the decimal
-strings of the parent's bit numbers below it (0, 1, 10, 11, ..., 2, ...).
-The trial order breaks ties by that numbering, so it fixes which
-certificate is found.
+The decomposability search keeps every subcomplex as int bitmasks over the
+input's own vertex bits, numbered once in the string order of the names, and
+never renumbers them.  Its memo is keyed by the facet set and lives for one
+top-level call, so a long-lived process keeps none of it.  A ``False`` there
+holds on every path, because vertex decomposability does not depend on the
+trial order; a tree there only says "yes".
+
+The trial order is descending degree in the 1-skeleton, ties broken by each
+subcomplex's labels, so the labels fix which certificate is found.  The
+labels at the top are the names' string order.  Below it, a child's labels
+are its support in the order of the parent's labels as decimal strings
+(0, 1, 10, 11, ..., 2, ...); under ten labels that is the numeric order.
+``shedding_vertices`` needs verdicts only: it breaks ties by bit, and any
+tree in its memo answers for its facet set.  ``is_vertex_decomposable``
+searches a subcomplex again when the memo holds a tree for it, because that
+tree may follow other labels, and puts names on the tree once, at the end.
 
 A refutation is the input complex itself.  A failed subcomplex only sends
 its parent on to the next trial vertex, so the search is stuck exactly when
@@ -23,6 +29,7 @@ independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Collection
 
@@ -67,42 +74,6 @@ class VDCertificate:
 FacetSet = frozenset  # of frozenset[str], the facets of a complex
 
 
-def _canonical(facets: Collection[int], by_str: bool) -> tuple[frozenset[int], list[int]]:
-    """Renumber the support to 0..m-1; returns (key, old bit of each new bit).
-
-    The new numbering follows the old bits in increasing order, or, when
-    ``by_str`` is set, in the order of the old bit numbers as decimal strings
-    (0, 1, 10, 11, ..., 2, ...).  Each run of old bits that stay adjacent
-    moves with one shift and mask.
-    """
-    support = 0
-    for f in facets:
-        support |= f
-    old = [i for i in range(support.bit_length()) if support >> i & 1]
-    if by_str and support.bit_length() > 10:
-        old.sort(key=str)
-    runs = []  # (old start, mask, new start) of each run
-    start = 0
-    for j in range(1, len(old) + 1):
-        if j == len(old) or old[j] != old[j - 1] + 1:
-            runs.append((old[start], (1 << (j - start)) - 1, start))
-            start = j
-    key = []
-    for f in facets:
-        g = 0
-        for src, mask, dst in runs:
-            g |= (f >> src & mask) << dst
-        key.append(g)
-    return frozenset(key), old
-
-
-def _translate_tree(node: Tree, labels: list) -> Tree:
-    if node[0] == "simplex":
-        return node
-    return ("shed", labels[node[1]],
-            _translate_tree(node[2], labels), _translate_tree(node[3], labels))
-
-
 def _split(facets: FacetSet, x) -> tuple[list, list] | None:
     """(deletion facets, link facets) for vertex x, or None when condition
     (beta) fails: some link facet is a facet of the deletion."""
@@ -126,55 +97,60 @@ def _split_masks(facets: Collection[int], bit: int) -> tuple[list[int], list[int
     return keep, link
 
 
-def _vertex_order(facets: frozenset[int]) -> list[int]:
-    """Trial order: descending degree in the 1-skeleton, ties by label."""
-    closed = [0] * max(facets).bit_length()  # the support is 0..m-1
+@cache
+def _string_order(m: int) -> list[int]:
+    """The labels 0..m-1 in the order of their decimal strings."""
+    return sorted(range(m), key=str)
+
+
+def _search(facets: Collection[int], order: list[int] | None,
+            memo: dict[frozenset[int], Tree | bool]) -> Tree | bool:
+    """The certificate tree over the input's bits, or False.
+
+    ``order`` lists the parent's support bits in the order of its labels as
+    decimal strings, and label i of this subcomplex is the i-th of them
+    inside its support.  With ``order`` None only the verdict counts: ties
+    go by bit, and a tree in the memo answers for its facet set.
+    """
+    if len(facets) <= 1:
+        return ("simplex",)
+    key = frozenset(facets)
+    known = memo.get(key)
+    if known is False or known is not None and order is None:
+        return known
+    support = 0
+    for f in facets:
+        support |= f
+    if order is None:
+        below = None
+        order = [1 << i for i in range(support.bit_length()) if support >> i & 1]
+    else:
+        order = [b for b in order if b & support]
+        below = [order[i] for i in _string_order(len(order))]
+    closed = dict.fromkeys(order, 0)
     for f in facets:
         rest = f
         while rest:
             low = rest & -rest
-            closed[low.bit_length() - 1] |= f
+            closed[low] |= f
             rest ^= low
-    return sorted(range(len(closed)), key=lambda v: -closed[v].bit_count())
-
-
-# A memo maps canonical facet bitmasks to the tree in canonical labels, or
-# False; one lives for one top-level call.
-Memo = dict[frozenset[int], Tree | bool]
-
-
-def _vd_search(facets: list[int], memo: Memo, names: list | None = None) -> Tree | bool:
-    """The tree in the caller's labels, or False if not decomposable.
-
-    Without ``names`` the caller's labels are its own bit numbers, and the
-    subcomplex is renumbered in their order as decimal strings.  With
-    ``names``, bit i is called names[i] and the bits are in the names'
-    string order already.
-    """
-    if len(facets) <= 1:
-        return ("simplex",)
-    key, old = _canonical(facets, names is None)
-    tree = memo.get(key)
-    if tree is None:
-        tree = memo[key] = _vd_search_core(key, memo)
-    if tree is False:
-        return False
-    return _translate_tree(tree, old if names is None else [names[i] for i in old])
-
-
-def _vd_search_core(facets: frozenset[int], memo: Memo) -> Tree | bool:
-    for x in _vertex_order(facets):
-        split = _split_masks(facets, 1 << x)
+    # trial order: descending degree in the 1-skeleton, ties by label
+    trials = sorted(order, key=lambda b: -closed[b].bit_count())
+    tree: Tree | bool = False
+    for x in trials:
+        split = _split_masks(facets, x)
         if split is None:
             continue
-        tree_d = _vd_search(split[0], memo)
+        tree_d = _search(split[0], below, memo)
         if tree_d is False:
             continue
-        tree_l = _vd_search(split[1], memo)
+        tree_l = _search(split[1], below, memo)
         if tree_l is False:
             continue
-        return ("shed", x, tree_d, tree_l)
-    return False
+        tree = ("shed", x, tree_d, tree_l)
+        break
+    memo[key] = tree
+    return tree
 
 
 def _facet_masks(delta: SimplicialComplex) -> tuple[list[int], list]:
@@ -192,9 +168,16 @@ def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
     if delta.is_void:
         raise ComplexError("void complex: vertex decomposability undefined")
     facets, names = _facet_masks(delta)
-    tree = _vd_search(facets, {}, names)
+    tree = _search(facets, [1 << i for i in range(len(names))], {})
     if tree is not False:
-        return VDCertificate(True, tree=tree)
+
+        def named(node: Tree) -> Tree:
+            if node[0] == "simplex":
+                return node
+            return ("shed", names[node[1].bit_length() - 1],
+                    named(node[2]), named(node[3]))
+
+        return VDCertificate(True, tree=named(tree))
     stuck = tuple(tuple(sorted(f, key=str))
                   for f in sorted(delta.facets, key=lambda f: sorted(map(str, f))))
     return VDCertificate(False, refutation=stuck)
@@ -246,14 +229,14 @@ def shedding_vertices(delta: SimplicialComplex, weak: bool = False) -> list[str]
     if delta.is_void:
         raise ComplexError("void complex has no shedding vertices")
     facets, names = _facet_masks(delta)
-    memo: Memo = {}
+    memo: dict[frozenset[int], Tree | bool] = {}
     out = []
     for i, x in enumerate(names):
         split = _split_masks(facets, 1 << i)
         if split is None:
             continue
-        if weak or (_vd_search(split[0], memo, names) is not False
-                    and _vd_search(split[1], memo, names) is not False):
+        if weak or (_search(split[0], None, memo) is not False
+                    and _search(split[1], None, memo) is not False):
             out.append(x)
     return out
 

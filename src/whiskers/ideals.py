@@ -24,6 +24,10 @@ from .graph import Graph, ResourceLimit, _mask_bits
 from .whisker import WhiskeredGraph
 
 DEFAULT_ORACLE_AMBIENT_BOUND = 16
+# No ambient_bound raises the oracle past this many variables: its tables and
+# cached masks take about n * 2^n * (n // 8 + 1) bytes, and one 20-variable
+# ideal already peaked at 97 MB.
+ORACLE_AMBIENT_CEILING = 20
 # Calls of the splitting recursion in betti_recursive_cover.  The pi build of
 # C14 takes 1685 and C16 4413; the count grows about 1.6x per base vertex.
 RECURSION_NODE_BOUND = 5_000
@@ -309,6 +313,9 @@ def _betti_terms(ideal: MonomialIdeal, k: FieldSpec,
     n = len(ideal.ambient)
     if n > ambient_bound:
         raise ResourceLimit(f"ambient size {n} exceeds the oracle bound {ambient_bound}")
+    if n > ORACLE_AMBIENT_CEILING:
+        raise ResourceLimit(f"ambient size {n} exceeds the oracle ceiling "
+                            f"{ORACLE_AMBIENT_CEILING}, which no bound raises")
     pos = {v: i for i, v in enumerate(ideal.ambient)}
     gens = [sum(1 << pos[v] for v in g) for g in ideal.generators]
     nonface, contributing, faces_below, nbytes = _subset_tables(gens, n)
@@ -331,7 +338,8 @@ def betti_oracle(ideal: MonomialIdeal, k: FieldSpec = GF2,
     over all 2^n subsets pick the restrictions that can contribute and tell
     each walk which subsets are faces and whether the restriction or its
     Alexander dual has fewer faces (see ``_subset_tables``).  Raises
-    ResourceLimit over ``ambient_bound`` variables.
+    ResourceLimit over ``ambient_bound`` or ``ORACLE_AMBIENT_CEILING``
+    variables.
     """
     if ideal.is_zero:
         return BettiTable(k, {}, "ideal")

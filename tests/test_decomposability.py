@@ -1,5 +1,6 @@
 """Vertex decomposability, certificates, shedding, shellability, SCM."""
 
+import hashlib
 import random
 import tracemalloc
 
@@ -8,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whiskers import (SimplicialComplex, VDCertificate, build_whiskered,
-                      complete_graph, cycle_graph, independence_complex,
-                      path_graph, simplex_on, trivial_spec)
+                      complete_graph, cycle_graph, default_spec,
+                      independence_complex, path_graph, simplex_on,
+                      trivial_spec)
 from whiskers.complexes import ComplexError
-from whiskers.decomposability import (ResourceLimit, is_scm_via_dual,
+from whiskers.decomposability import (ResourceLimit, _split, is_scm_via_dual,
                                       is_shellable, is_unmixed,
                                       is_vd_brute_force, is_vd_graph,
                                       is_vertex_decomposable,
@@ -78,6 +80,25 @@ def test_vd_matches_brute_force(c):
     assert cert.decomposable == is_vd_brute_force(c)
     if cert.decomposable:
         assert verify_certificate(c, cert)
+
+
+@settings(max_examples=120, deadline=None)
+@given(complexes(7))
+def test_shedding_vertices_match_brute_force(c):
+    """The search's memo answers verdicts by facet set, so the shedding
+    lists get their own ground truth: the label-level split and the
+    brute-force oracle on each deletion and link."""
+    strong, weak = [], []
+    for x in sorted({v for f in c.facets for v in f}, key=str):
+        split = _split(c.facets, x)
+        if split is None:
+            continue
+        weak.append(x)
+        if all(is_vd_brute_force(SimplicialComplex(c.ambient, part))
+               for part in split):
+            strong.append(x)
+    assert shedding_vertices(c) == strong
+    assert shedding_vertices(c, weak=True) == weak
 
 
 def test_vd_exhaustive_4_vertices():
@@ -273,3 +294,40 @@ def test_bitmask_search_matches_label_reference():
             assert verify_certificate(c, cert)
         verdicts.add(cert.decomposable)
     assert verdicts == {True, False}
+
+
+def _pinned_cases():
+    rng = random.Random(7)
+    pi_builds = []
+    for n in range(8, 15):
+        g = cycle_graph([f"x{i}" for i in rng.sample(range(10 * n), n)])
+        vs = g.vertices
+        ears = default_spec(g, [vs[i:i + 2] for i in range(0, n, 2)])
+        for spec in (trivial_spec(g), ears):
+            pi_builds.append(independence_complex(
+                build_whiskered(g, spec, "pi").graph))
+    randoms = [independence_complex(random_graph(rng, 12 + t % 7, 0.3))
+               for t in range(30)]
+    return pi_builds, randoms
+
+
+def _vd_digest(cases):
+    h = hashlib.sha256()
+    for c in cases:
+        lines = is_vertex_decomposable(c).to_lines()
+        lines += [" ".join(shedding_vertices(c)),
+                  " ".join(shedding_vertices(c, weak=True))]
+        h.update(("\n".join(lines) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_vd_outputs_match_pinned_digests():
+    """Certificates and shedding lists (strong and weak) hash to the values
+    that the search gave when it renumbered every subcomplex.  The pi builds
+    of C8-C14 have up to 28 vertices, so the decimal-string label order
+    nests several levels deep; 14 of the 30 random graphs are VD."""
+    pi_builds, randoms = _pinned_cases()
+    assert _vd_digest(pi_builds) == (
+        "b0c32225827c05545ee156eab47e459e67c1b6a411399a7c37557b2f2c7a8b80")
+    assert _vd_digest(randoms) == (
+        "6b1e23c16ae6722c7f3eac421d4d1f342316bafbdd4481e83c224ea1affdb0d2")

@@ -16,9 +16,10 @@ from whiskers import (betti_closed_pi, betti_join, betti_oracle,
                       has_linear_resolution, ideal_of, independence_complex,
                       trivial_spec)
 from whiskers.fields import GF2, QQ, FieldSpec, rank_modp, rank_rational
-from whiskers.ideals import (HOM_CACHE_BOUND, BettiTable, IdealError,
-                             MonomialIdeal, ResourceLimit, _hom_cache,
-                             _subset_masks, _subset_tables)
+from whiskers.ideals import (HOM_CACHE_BOUND, ORACLE_AMBIENT_CEILING,
+                             BettiTable, IdealError, MonomialIdeal,
+                             ResourceLimit, _hom_cache, _subset_masks,
+                             _subset_tables)
 from whiskers.randinst import random_build, random_graph
 
 from conftest import c6, c6_ears_spec
@@ -455,6 +456,12 @@ def test_oracle_resource_limit():
     big = MonomialIdeal([f"x{i}" for i in range(20)], [("x0", "x1")])
     with pytest.raises(ResourceLimit):
         betti_oracle(big, GF2, ambient_bound=10)
+    # a raised bound stops at the ceiling, before any table is built
+    over = MonomialIdeal([f"x{i}" for i in range(ORACLE_AMBIENT_CEILING + 1)],
+                         [("x0", "x1")])
+    with pytest.raises(ResourceLimit,
+                       match=f"ceiling {ORACLE_AMBIENT_CEILING}"):
+        betti_oracle(over, GF2, ambient_bound=40)
 
 
 def test_hom_cache_is_bounded():

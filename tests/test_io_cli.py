@@ -8,12 +8,15 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import whiskers
 from whiskers import (build_whiskered, cycle_graph, format_complex, format_graph,
                       format_partition, graph_to_dot, parse_complex,
                       parse_graph, parse_partition, trivial_spec)
 from whiskers.cli import run
+from whiskers.ideals import ORACLE_AMBIENT_CEILING
 from whiskers.io import ParseError
 from whiskers.randinst import random_complex_facets, random_instance
 
@@ -167,6 +170,22 @@ def test_cli_betti_recursion_node_budget(files, capsys):
     assert capsys.readouterr().err.startswith("resource limit: ")
 
 
+def test_cli_betti_oracle_ceiling(files, capsys):
+    """--oracle-bound cannot lift the oracle past its ceiling."""
+    graph, part = _write_pi_cycle(files, 11)  # 22 vertices
+    start = time.perf_counter()
+    code, text = run_cli("betti", "--graph", graph, "--partition", part,
+                         "--oracle-bound", "40")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ")
+    assert f"ceiling {ORACLE_AMBIENT_CEILING}" in err
+    code, text = run_cli("betti", "--graph", str(files / "l6.graph"),
+                         "--oracle-bound", "40")
+    assert code == 0 and text.startswith("i\tj\tbeta")
+
+
 def test_cli_poset(files):
     code, text = run_cli("poset", "--graph", str(files / "c6.graph"),
                          "--partition", str(files / "ears.part"))
@@ -260,3 +279,81 @@ def test_cli_reused_parser_matches_fresh_process(files, capsys):
         code, text = run_cli(*argv)
         err = capsys.readouterr().err
         assert (code, text, err) == _fresh_process(argv), argv
+
+
+# -- fuzzing: any input ends with an exit code, never a traceback ---------------
+
+_NAME = st.sampled_from("abcdefgh")  # at most 8 vertices
+_JUNK = st.text(alphabet="abW1U2:=()-,#x0 \té", max_size=12)
+_GRAPH_LINE = st.one_of(
+    _NAME.map("vertex {}".format),
+    st.tuples(_NAME, _NAME).map(lambda e: f"edge {e[0]} {e[1]}"))
+_COMPLEX_LINE = st.one_of(
+    st.lists(_NAME, max_size=8).map(lambda f: "facet " + " ".join(f)),
+    _NAME.map("vertex {}".format))
+_WHISKER = st.tuples(
+    st.sampled_from([0, 1, 2, 600]),  # 0 and 600 are out of range
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=2),
+).map(lambda t: f"size={t[0]} edges=("
+      + ",".join(f"{a}-{b}" for a, b in t[1]) + ")")
+_CLIQUE = st.integers(1, 4)
+_PARTITION_LINE = st.one_of(
+    st.tuples(_CLIQUE, st.lists(_NAME, max_size=3)).map(
+        lambda t: f"clique W{t[0]}: " + " ".join(t[1])),
+    st.tuples(st.integers(1, 2), st.lists(_CLIQUE, max_size=3)).map(
+        lambda t: f"cluster U{t[0]}: " + " ".join(f"W{w}" for w in t[1])),
+    st.tuples(_CLIQUE, _WHISKER).map(lambda t: f"whiskerA W{t[0]}: {t[1]}"),
+    st.tuples(st.integers(1, 2), _WHISKER).map(
+        lambda t: f"whiskerB U{t[0]}: {t[1]}"))
+_FLAGS = st.one_of(st.just([]), st.lists(st.sampled_from([
+    ["--expect-vd"], ["--kind", "pi"], ["--kind", "cc"], ["--kind", "mc"],
+    ["--kind", "md"], ["--kind"], ["--complex"], ["--bogus"], ["-h"]]),
+    max_size=2).map(lambda fs: [f for flag in fs for f in flag]))
+
+
+def _join(draw, lines):
+    """The lines as text; one text in four gets a junk line."""
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_JUNK))
+    return "\n".join(lines)
+
+
+@st.composite
+def _complex_text(draw):
+    return _join(draw, draw(st.lists(_COMPLEX_LINE, min_size=1, max_size=12)))
+
+
+@st.composite
+def _build_texts(draw):
+    """Graph and partition text.  Two partitions in three start with one
+    clique per named vertex, so that many builds get past validation."""
+    lines = draw(st.lists(_GRAPH_LINE, min_size=1, max_size=12))
+    mode = draw(st.integers(0, 2))
+    part = draw(st.lists(_PARTITION_LINE, max_size=12)) if mode != 1 else []
+    if mode:
+        names = sorted({v for line in lines for v in line.split()[1:]})
+        part[:0] = [f"clique W{i + 1}: {v}" for i, v in enumerate(names)]
+    return _join(draw, lines), _join(draw, part)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=_build_texts(), cx=_complex_text(),
+       command=st.integers(0, 2), flags=_FLAGS)
+def test_cli_run_fuzz(fuzz_dir, texts, cx, command, flags):
+    """Complex, graph and partition text with random flags: every run ends
+    with exit 0, 1, 2 or 3 and raises nothing."""
+    graph, part = texts
+    paths = {}
+    for name, text in (("g.graph", graph), ("p.part", part), ("c.cx", cx)):
+        (fuzz_dir / name).write_text(text, encoding="utf-8")
+        paths[name] = str(fuzz_dir / name)
+    build = ["--graph", paths["g.graph"], "--partition", paths["p.part"]]
+    argv = [["check-vd", "--complex", paths["c.cx"]], ["build", *build],
+            ["check-vd", *build]][command] + flags
+    code, _ = run_cli(*argv)
+    assert code in (0, 1, 2, 3), argv
