@@ -33,11 +33,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_build(args):
+def _load(args):
+    """(graph, build) from --graph [--partition] [--kind]: the build of the
+    --graph file's graph when --partition is given, else (that graph, None)."""
     g = parse_graph(_read(args.graph))
+    if not args.partition:
+        return g, None
     spec = parse_partition(_read(args.partition), g)
-    kind = args.kind or derive_kind(spec)
-    return build_whiskered(g, spec, kind)
+    w = build_whiskered(g, spec, args.kind or derive_kind(spec))
+    return w.graph, w
 
 
 def _add_build_args(sub) -> None:
@@ -48,7 +52,7 @@ def _add_build_args(sub) -> None:
 
 
 def cmd_build(args, out) -> int:
-    w = _load_build(args)
+    _, w = _load(args)
     out.write(f"# kind={w.kind} type=({w.type[0]},{w.type[1]})\n")
     out.write(format_graph(w.graph))
     return 0
@@ -57,10 +61,8 @@ def cmd_build(args, out) -> int:
 def cmd_check_vd(args, out) -> int:
     if args.complex:
         c = parse_complex(_read(args.complex))
-    elif args.graph and args.partition:
-        c = independence_complex(_load_build(args).graph)
     elif args.graph:
-        c = independence_complex(parse_graph(_read(args.graph)))
+        c = independence_complex(_load(args)[0])
     else:
         raise ParseError("check-vd needs --complex or --graph [--partition]")
     cert = is_vertex_decomposable(c)
@@ -72,7 +74,7 @@ def cmd_check_vd(args, out) -> int:
 
 
 def cmd_facets(args, out) -> int:
-    w = _load_build(args)
+    _, w = _load(args)
     c = independence_complex(w.graph)
     for f in c.facet_tuples():
         out.write("facet " + " ".join(f) + "\n")
@@ -88,7 +90,7 @@ def cmd_facets(args, out) -> int:
 
 
 def cmd_poset(args, out) -> int:
-    w = _load_build(args)
+    _, w = _load(args)
     p = FacetPoset(w)
     out.write(f"{len(p)} elements, least element: "
               + (" ".join(sorted(p.least)) or "(empty)") + "\n")
@@ -101,12 +103,7 @@ def cmd_poset(args, out) -> int:
 
 
 def cmd_betti(args, out) -> int:
-    g = parse_graph(_read(args.graph))
-    w = None
-    if args.partition:
-        spec = parse_partition(_read(args.partition), g)
-        w = build_whiskered(g, spec, args.kind or derive_kind(spec))
-    target = w.graph if w else g
+    target, w = _load(args)
     tables = {}
     if args.method in ("oracle", "both"):
         tables["oracle"] = betti_oracle(ideal_of(target, args.ideal), args.field,
@@ -145,11 +142,7 @@ def cmd_properties(args, out) -> int:
 
 
 def cmd_export_dot(args, out) -> int:
-    if args.partition:
-        g = _load_build(args).graph
-    else:
-        g = parse_graph(_read(args.graph))
-    out.write(graph_to_dot(g))
+    out.write(graph_to_dot(_load(args)[0]))
     return 0
 
 

@@ -12,7 +12,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .fields import QQ, FieldSpec, rank_gf2, rank_modp, rank_rational
-from .graph import Graph, _mask_bits
+from .graph import Graph, _by_position, _mask_bits, _mask_tuples
 
 
 class ComplexError(ValueError):
@@ -46,25 +46,71 @@ def _maximal(masks: list[int]) -> list[int]:
     return kept
 
 
-class SimplicialComplex:
-    __slots__ = ("ambient", "facets", "_pos")
+def _normalise(ambient: Iterable[str], sets: Iterable[Iterable[str]],
+               error: type[ValueError], noun: str,
+               minimal: bool = False) -> tuple[tuple[str, ...], list[int]]:
+    """The ambient tuple and the antichain of a set family as position masks.
+
+    Keeps the inclusion-maximal sets, or with ``minimal`` the minimal ones
+    (the maximal complements), and sorts them with ``_by_position``.  It is
+    where the names of a complex's facets or an ideal's generators become
+    bits; ``_named`` turns the masks back into names.
+    """
+    amb = tuple(ambient)
+    pos = {v: i for i, v in enumerate(amb)}
+    if len(pos) != len(amb):
+        raise error("duplicate ambient vertices")
+    fs = [frozenset(s) for s in sets]
+    for f in fs:
+        if not f <= pos.keys():
+            raise error(f"{noun} {sorted(f)} not within ambient set")
+    bit = {v: 1 << i for v, i in pos.items()}
+    masks = [sum(map(bit.__getitem__, f)) for f in fs]
+    flip = (1 << len(amb)) - 1 if minimal else 0
+    return amb, _by_position(masks[i] for i in _maximal([flip ^ m for m in masks]))
+
+
+def _named(ambient: tuple[str, ...], masks: Iterable[int]) -> tuple[frozenset[str], ...]:
+    return tuple(frozenset(ambient[i] for i in _mask_bits(m)) for m in masks)
+
+
+class _MaskFamily:
+    """An antichain of subsets of ``ambient`` kept as position masks in
+    ``_masks``, in ``_by_position`` order; equality and hashing read them.
+    A subclass's ``_fill`` sets them and the same sets as frozensets of
+    names."""
+
+    __slots__ = ("ambient", "_masks")
+
+    @classmethod
+    def _from_masks(cls, ambient: tuple[str, ...], masks: list[int]):
+        """The family of ``masks``, already an antichain over ``ambient`` in
+        ``_by_position`` order, so names are never turned into bits."""
+        family = cls.__new__(cls)
+        family._fill(ambient, masks)
+        return family
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.ambient == other.ambient
+                and self._masks == other._masks)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self._masks))
+
+
+class SimplicialComplex(_MaskFamily):
+    """Facets are kept as frozensets of names in ``facets`` and as position
+    masks over ``ambient`` in ``_masks``, both in position order."""
+
+    __slots__ = ("facets",)
 
     def __init__(self, ambient: Iterable[str], facets: Iterable[Iterable[str]]):
-        amb = tuple(ambient)
-        pos = {v: i for i, v in enumerate(amb)}
-        if len(pos) != len(amb):
-            raise ComplexError("duplicate ambient vertices")
-        fs = [frozenset(f) for f in facets]
-        for f in fs:
-            if not f <= pos.keys():
-                raise ComplexError(f"facet {sorted(f)} not within ambient set")
-        bit = {v: 1 << i for v, i in pos.items()}
-        masks = [sum(map(bit.__getitem__, f)) for f in fs]
-        keep = _maximal(masks)
-        keep.sort(key=lambda i: tuple(_mask_bits(masks[i])))  # by positions
-        self.ambient = amb
-        self.facets = tuple(fs[i] for i in keep)
-        self._pos = pos
+        self._fill(*_normalise(ambient, facets, ComplexError, "facet"))
+
+    def _fill(self, ambient: tuple[str, ...], masks: list[int]) -> None:
+        self.ambient = ambient
+        self._masks = tuple(masks)
+        self.facets = _named(ambient, masks)
 
     # -- basics --------------------------------------------------------------
 
@@ -86,33 +132,20 @@ class SimplicialComplex:
             raise ComplexError("void complex has no dimension")
         return max(len(f) for f in self.facets) - 1
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SimplicialComplex)
-                and self.ambient == other.ambient
-                and self.facets == other.facets)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.facets))
-
     def __repr__(self) -> str:
         return f"SimplicialComplex(ambient={len(self.ambient)}, facets={len(self.facets)})"
 
     def facet_tuples(self) -> list[tuple[str, ...]]:
-        return [tuple(sorted(f, key=self._pos.__getitem__)) for f in self.facets]
+        return _mask_tuples(self.ambient, self._masks)
 
     def support(self) -> frozenset[str]:
-        out: set[str] = set()
-        for f in self.facets:
-            out |= f
-        return frozenset(out)
+        return frozenset().union(*self.facets)
 
     def faces(self) -> set[frozenset[str]]:
-        out: set[frozenset[str]] = set()
-        for f in self.facets:
-            fl = sorted(f)
-            for k in range(len(fl) + 1):
-                out.update(frozenset(c) for c in combinations(fl, k))
-        return out
+        return set(_named(self.ambient, self._face_masks()))
+
+    def _face_masks(self) -> set[int]:
+        return {s for m in self._masks for s in _subsets_of(m)}
 
     def has_face(self, s: Iterable[str]) -> bool:
         fs = frozenset(s)
@@ -120,15 +153,20 @@ class SimplicialComplex:
 
     def minimal_nonfaces(self) -> list[frozenset[str]]:
         """Minimal subsets of the ambient set that are not faces."""
+        return list(_named(self.ambient, self._nonface_masks()))
+
+    def _nonface_masks(self) -> list[int]:
+        """``minimal_nonfaces`` as position masks, by size, then position."""
         if self.is_void:
-            return [frozenset()]
-        out: list[frozenset[str]] = []
-        bound = self.dim + 2
-        for k in range(1, min(bound, len(self.ambient)) + 1):
-            for c in combinations(self.ambient, k):
-                cs = frozenset(c)
-                if not self.has_face(cs) and not any(m <= cs for m in out):
-                    out.append(cs)
+            return [0]
+        out: list[int] = []
+        bits = [1 << i for i in range(len(self.ambient))]
+        for k in range(1, min(self.dim + 2, len(bits)) + 1):
+            for c in combinations(bits, k):
+                m = sum(c)
+                if (all(m & ~f for f in self._masks)
+                        and all(x & ~m for x in out)):
+                    out.append(m)
         return out
 
     # -- constructions ---------------------------------------------------------
@@ -152,13 +190,14 @@ class SimplicialComplex:
     def alexander_dual(self) -> "SimplicialComplex":
         if not self.ambient:
             raise ComplexError("Alexander dual needs a nonempty ambient set")
-        amb = set(self.ambient)
-        return SimplicialComplex(self.ambient,
-                                 [amb - n for n in self.minimal_nonfaces()])
+        full = (1 << len(self.ambient)) - 1
+        return SimplicialComplex._from_masks(
+            self.ambient, _by_position(full ^ m for m in self._nonface_masks()))
 
     def complement_facet_complex(self) -> "SimplicialComplex":
-        amb = set(self.ambient)
-        return SimplicialComplex(self.ambient, [amb - f for f in self.facets])
+        full = (1 << len(self.ambient)) - 1
+        return SimplicialComplex._from_masks(
+            self.ambient, _by_position(full ^ m for m in self._masks))
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         overlap = set(self.ambient) & set(other.ambient)
@@ -221,12 +260,7 @@ class SimplicialComplex:
         """
         if self.is_void:
             return {}
-        faces: set[int] = set()
-        for f in self.facets:
-            m = sum(1 << self._pos[v] for v in f)
-            if m not in faces:
-                faces.update(_subsets_of(m))
-        return _homology_masks(faces, k)
+        return _homology_masks(self._face_masks(), k)
 
 
 def _subsets_of(mask: int) -> Iterator[int]:
@@ -276,7 +310,7 @@ def _homology_masks(faces: Iterable[int], k: FieldSpec) -> dict[int, int]:
 
 def independence_complex(g: Graph) -> SimplicialComplex:
     """Ind G: facets are the maximal independent sets of G."""
-    return SimplicialComplex(g.vertices, g.maximal_independent_sets())
+    return SimplicialComplex._from_masks(g.vertices, g._mis_masks())
 
 
 def simplex_on(vertices: Iterable[str]) -> SimplicialComplex:

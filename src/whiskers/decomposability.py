@@ -35,7 +35,7 @@ from typing import Collection
 
 from .complexes import ComplexError, SimplicialComplex, independence_complex
 from .fields import GF2, FieldSpec
-from .graph import Graph, ResourceLimit
+from .graph import Graph, ResourceLimit, _by_position
 
 DEFAULT_SHELLING_FACET_BOUND = 12
 DEFAULT_SCM_AMBIENT_BOUND = 14
@@ -300,31 +300,32 @@ def is_unmixed(g: Graph) -> bool:
 def is_scm_via_dual(delta: SimplicialComplex, k: FieldSpec = GF2) -> bool:
     """Sequential Cohen-Macaulayness via the componentwise-linear dual test.
 
-    For each generator degree e of the dual's facet ideal, the squarefree
-    degree-e component ideal must have a linear resolution (Betti numbers
-    vanishing off j = i + e), checked with the Betti oracle.
+    The dual's facet ideal is generated by the complements of the facets.
+    For each generator degree e of it, the squarefree degree-e component
+    ideal must have a linear resolution (Betti numbers vanishing off
+    j = i + e), checked with the Betti oracle.
     """
-    from .ideals import MonomialIdeal, has_linear_resolution, ideal_of
+    from .ideals import MonomialIdeal, has_linear_resolution
 
     if delta.is_void:
         raise ComplexError("void complex: SCM test undefined")
-    if len(delta.ambient) > DEFAULT_SCM_AMBIENT_BOUND:
-        raise ResourceLimit(f"ambient size {len(delta.ambient)} exceeds the SCM "
+    n = len(delta.ambient)
+    if n > DEFAULT_SCM_AMBIENT_BOUND:
+        raise ResourceLimit(f"ambient size {n} exceeds the SCM "
                             f"bound {DEFAULT_SCM_AMBIENT_BOUND}")
-    dual = ideal_of(delta.complement_facet_complex(), "facet")
-    if dual.is_unit or dual.is_zero:
+    full = (1 << n) - 1
+    dual = [full ^ m for m in delta._masks]
+    if 0 in dual:  # a simplex: the dual ideal is the unit ideal
         return True
-    ambient = set(dual.ambient)
-    degrees = sorted({len(g) for g in dual.generators})
-    for e in degrees:
+    for e in sorted({g.bit_count() for g in dual}):
         # all squarefree degree-e monomials of the ideal
         gens_e = set()
-        for g in dual.generators:
-            if len(g) > e:
-                continue
-            room = sorted(ambient - g)
-            for extra in combinations(room, e - len(g)):
-                gens_e.add(g | frozenset(extra))
-        if not has_linear_resolution(MonomialIdeal(dual.ambient, gens_e), k):
+        for g in dual:
+            if g.bit_count() <= e:
+                room = [1 << i for i in range(n) if not g >> i & 1]
+                gens_e.update(g | sum(extra) for extra
+                              in combinations(room, e - g.bit_count()))
+        if not has_linear_resolution(
+                MonomialIdeal._from_masks(delta.ambient, _by_position(gens_e)), k):
             return False
     return True

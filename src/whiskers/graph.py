@@ -8,11 +8,15 @@ run on machine words / Python ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 512  # documented cap; exhaustive algorithms dominate anyway
+# Maximal independent sets one enumeration may emit.  A perfect matching on
+# 2k vertices has 2^k of them: 2^16 took about 0.4 s on a 2-vCPU Xeon with
+# Python 3.11, and each further edge doubles the time and the memory.  The
+# pi build of C22, with 39,603, stays under the bound.
+MIS_ENUMERATION_BOUND = 1 << 16
 
 
 class GraphError(ValueError):
@@ -30,10 +34,20 @@ def _mask_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _by_position(masks: Iterable[int]) -> list[int]:
+    """Vertex-subset masks in lexicographic order of their position tuples."""
+    return sorted(masks, key=lambda m: tuple(_mask_bits(m)))
+
+
+def _mask_tuples(names: tuple[str, ...], masks: Iterable[int]) -> list[tuple[str, ...]]:
+    """Each mask as the tuple of its names, in position order."""
+    return [tuple(names[i] for i in _mask_bits(m)) for m in masks]
+
+
 class Graph:
     """Immutable simple graph: no loops, no multi-edges, stable vertex order."""
 
-    __slots__ = ("vertices", "_pos", "_adj", "_edges")
+    __slots__ = ("vertices", "_pos", "_adj")
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable[tuple[str, str]] = ()):
         vs = tuple(vertices)
@@ -64,13 +78,18 @@ class Graph:
         self.vertices = vs
         self._pos = pos
         self._adj = tuple(adj)
-        self._edges = frozenset(frozenset((u, v)) for u, v in edge_list)
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def edges(self) -> frozenset[frozenset[str]]:
-        return self._edges
+        vs = self.vertices
+        return frozenset(frozenset((vs[i], vs[j])) for i, j in self.edge_pairs())
+
+    def edge_pairs(self) -> list[tuple[int, int]]:
+        """Every edge as a position pair i < j, in lexicographic order."""
+        return [(i, j) for i, a in enumerate(self._adj)
+                for j in _mask_bits(a >> i + 1 << i + 1)]
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -81,13 +100,14 @@ class Graph:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph)
                 and self.vertices == other.vertices
-                and self._edges == other._edges)
+                and self._adj == other._adj)
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self._edges))
+        return hash((self.vertices, self._adj))
 
     def __repr__(self) -> str:
-        return f"Graph({len(self.vertices)} vertices, {len(self._edges)} edges)"
+        edges = sum(a.bit_count() for a in self._adj) // 2
+        return f"Graph({len(self.vertices)} vertices, {edges} edges)"
 
     def _require(self, v: str) -> int:
         try:
@@ -132,16 +152,11 @@ class Graph:
     # -- derived graphs ----------------------------------------------------
 
     def _induce_mask(self, keep: int) -> "Graph":
-        vs = [self.vertices[i] for i in range(len(self.vertices)) if keep >> i & 1]
-        g = Graph(vs)
-        adj = []
-        pos_new = g._pos
-        for v in vs:
-            m = self._adj[self._pos[v]] & keep
-            adj.append(sum(1 << pos_new[self.vertices[i]] for i in _mask_bits(m)))
-        g._adj = tuple(adj)
-        g._edges = frozenset(e for e in self._edges
-                             if all(keep >> self._pos[w] & 1 for w in e))
+        old = list(_mask_bits(keep))
+        g = Graph([self.vertices[i] for i in old])
+        new_bit = {i: 1 << k for k, i in enumerate(old)}
+        g._adj = tuple(sum(new_bit[j] for j in _mask_bits(self._adj[i] & keep))
+                       for i in old)
         return g
 
     def delete_vertices(self, vs: Iterable[str]) -> "Graph":
@@ -158,18 +173,19 @@ class Graph:
         return self._induce_mask(keep)
 
     def complement(self) -> "Graph":
-        n = len(self.vertices)
-        edges = [(self.vertices[i], self.vertices[j])
-                 for i in range(n) for j in range(i + 1, n)
-                 if not self._adj[i] >> j & 1]
-        return Graph(self.vertices, edges)
+        full = (1 << len(self.vertices)) - 1
+        g = Graph(self.vertices)
+        g._adj = tuple(full & ~(a | 1 << i) for i, a in enumerate(self._adj))
+        return g
 
     def disjoint_union(self, other: "Graph") -> "Graph":
         common = set(self.vertices) & set(other.vertices)
         if common:
             raise GraphError(f"vertex sets overlap: {sorted(common)}")
-        return Graph(self.vertices + other.vertices,
-                     [tuple(e) for e in self._edges] + [tuple(e) for e in other._edges])
+        g = Graph(self.vertices + other.vertices)
+        n = len(self.vertices)
+        g._adj = self._adj + tuple(a << n for a in other._adj)
+        return g
 
     def components(self) -> list[frozenset[str]]:
         n = len(self.vertices)
@@ -204,8 +220,12 @@ class Graph:
         """All inclusion-maximal independent sets, lexicographically sorted.
 
         The edgeless graph (including the empty graph) yields the single
-        set V(G).
+        set V(G).  Raises ResourceLimit over MIS_ENUMERATION_BOUND sets.
         """
+        return _mask_tuples(self.vertices, self._mis_masks())
+
+    def _mis_masks(self) -> list[int]:
+        """``maximal_independent_sets`` as position masks, in the same order."""
         n = len(self.vertices)
         adj = self._adj
         out: list[int] = []
@@ -218,6 +238,9 @@ class Graph:
         def expand(r: int, p: int, x: int) -> None:
             if not p and not x:
                 out.append(r)
+                if len(out) > MIS_ENUMERATION_BOUND:
+                    raise ResourceLimit("maximal independent sets exceed the "
+                                        f"enumeration bound {MIS_ENUMERATION_BOUND}")
                 return
             pivot = max(_mask_bits(p | x), key=lambda i: (nonadj[i] & p).bit_count())
             for i in _mask_bits(p & ~nonadj[pivot]):
@@ -229,13 +252,12 @@ class Graph:
         expand(0, full, 0)
         if n == 0:
             out = [0]
-        out.sort(key=lambda m: tuple(_mask_bits(m)))
-        return [tuple(self.vertices[i] for i in _mask_bits(m)) for m in out]
+        return _by_position(out)
 
     def minimal_vertex_covers(self) -> list[tuple[str, ...]]:
-        full = set(self.vertices)
-        covers = [frozenset(full - set(s)) for s in self.maximal_independent_sets()]
-        return self.sort_sets(covers)
+        full = (1 << len(self.vertices)) - 1
+        return _mask_tuples(self.vertices,
+                            _by_position(full ^ m for m in self._mis_masks()))
 
     def independent_set_count(self) -> int:
         """Number of independent subsets of V(G), including the empty set."""

@@ -18,9 +18,10 @@ from itertools import compress
 from math import comb
 from typing import Iterable, Iterator
 
-from .complexes import SimplicialComplex, _homology_masks, _maximal
+from .complexes import (SimplicialComplex, _homology_masks, _MaskFamily,
+                        _named, _normalise)
 from .fields import GF2, FieldSpec
-from .graph import Graph, ResourceLimit, _mask_bits
+from .graph import Graph, ResourceLimit, _by_position, _mask_bits, _mask_tuples
 from .whisker import WhiskeredGraph
 
 DEFAULT_ORACLE_AMBIENT_BOUND = 16
@@ -37,31 +38,23 @@ class IdealError(ValueError):
     pass
 
 
-class MonomialIdeal:
+class MonomialIdeal(_MaskFamily):
     """Squarefree monomial ideal: an antichain of vertex subsets over an
     explicit ambient vertex set.  The unit ideal is the single generator
-    empty-set; the zero ideal has no generators."""
+    empty-set; the zero ideal has no generators.  Like a complex's facets,
+    the minimal generators are kept as frozensets of names and as position
+    masks in ``_masks``."""
 
-    __slots__ = ("ambient", "generators", "_pos")
+    __slots__ = ("generators",)
 
     def __init__(self, ambient: Iterable[str], generators: Iterable[Iterable[str]]):
-        amb = tuple(ambient)
-        pos = {v: i for i, v in enumerate(amb)}
-        if len(pos) != len(amb):
-            raise IdealError("duplicate ambient vertices")
-        gens = [frozenset(g) for g in generators]
-        for g in gens:
-            if not g <= pos.keys():
-                raise IdealError(f"generator {sorted(g)} not within ambient set")
-        bit = {v: 1 << i for v, i in pos.items()}
-        masks = [sum(map(bit.__getitem__, g)) for g in gens]
-        # minimal generators: maximal complements within the ambient set
-        full = (1 << len(amb)) - 1
-        keep = _maximal([full ^ m for m in masks])
-        keep.sort(key=lambda i: tuple(_mask_bits(masks[i])))  # by positions
-        self.ambient = amb
-        self.generators = tuple(gens[i] for i in keep)
-        self._pos = pos
+        self._fill(*_normalise(ambient, generators, IdealError, "generator",
+                               minimal=True))
+
+    def _fill(self, ambient: tuple[str, ...], masks: list[int]) -> None:
+        self.ambient = ambient
+        self._masks = tuple(masks)
+        self.generators = _named(ambient, masks)
 
     @property
     def is_zero(self) -> bool:
@@ -72,15 +65,7 @@ class MonomialIdeal:
         return self.generators == (frozenset(),)
 
     def generator_tuples(self) -> list[tuple[str, ...]]:
-        return [tuple(sorted(g, key=self._pos.__getitem__)) for g in self.generators]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MonomialIdeal)
-                and self.ambient == other.ambient
-                and self.generators == other.generators)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.generators))
+        return _mask_tuples(self.ambient, self._masks)
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({len(self.ambient)} vars, {len(self.generators)} gens)"
@@ -93,14 +78,18 @@ def ideal_of(source, kind: str) -> MonomialIdeal:
         if not isinstance(source, SimplicialComplex):
             raise IdealError(f"{kind} ideal needs a simplicial complex")
         if kind == "facet":
-            return MonomialIdeal(source.ambient, source.facets)
-        return MonomialIdeal(source.ambient, source.minimal_nonfaces())
+            return MonomialIdeal._from_masks(source.ambient, source._masks)
+        return MonomialIdeal._from_masks(source.ambient,
+                                         _by_position(source._nonface_masks()))
     if kind in ("edge", "cover"):
         if not isinstance(source, Graph):
             raise IdealError(f"{kind} ideal needs a graph")
         if kind == "edge":
-            return MonomialIdeal(source.vertices, source.edges)
-        return MonomialIdeal(source.vertices, source.minimal_vertex_covers())
+            return MonomialIdeal._from_masks(
+                source.vertices, [1 << i | 1 << j for i, j in source.edge_pairs()])
+        full = (1 << len(source.vertices)) - 1
+        return MonomialIdeal._from_masks(
+            source.vertices, _by_position(full ^ m for m in source._mis_masks()))
     raise IdealError(f"unknown ideal kind {kind!r}")
 
 
@@ -273,7 +262,7 @@ def _restriction_homology(w: int, nonface: bytes, faces: int,
     return hit
 
 
-def _subset_tables(gens: list[int], n: int) -> tuple[bytes, bytes, bytes, int]:
+def _subset_tables(gens: tuple[int, ...], n: int) -> tuple[bytes, bytes, bytes, int]:
     """Tables over the 2^n subsets of n vertices with the given distinct
     generator masks, built with whole-table big-int operations instead of a
     loop over subsets.  Returns (nonface, contributing, faces_below, nbytes):
@@ -316,9 +305,7 @@ def _betti_terms(ideal: MonomialIdeal, k: FieldSpec,
     if n > ORACLE_AMBIENT_CEILING:
         raise ResourceLimit(f"ambient size {n} exceeds the oracle ceiling "
                             f"{ORACLE_AMBIENT_CEILING}, which no bound raises")
-    pos = {v: i for i, v in enumerate(ideal.ambient)}
-    gens = [sum(1 << pos[v] for v in g) for g in ideal.generators]
-    nonface, contributing, faces_below, nbytes = _subset_tables(gens, n)
+    nonface, contributing, faces_below, nbytes = _subset_tables(ideal._masks, n)
     for w in compress(range(1 << n), contributing):
         at = nbytes * w
         faces = int.from_bytes(faces_below[at:at + nbytes], "little")
@@ -423,7 +410,7 @@ def has_linear_resolution(ideal: MonomialIdeal, k: FieldSpec = GF2) -> bool:
     """All generators in one degree e and beta_{i,j} = 0 unless j = i + e."""
     if ideal.is_zero or ideal.is_unit:
         return True
-    degrees = {len(g) for g in ideal.generators}
+    degrees = {m.bit_count() for m in ideal._masks}
     if len(degrees) > 1:
         return False
     e = degrees.pop()

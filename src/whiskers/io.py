@@ -34,22 +34,14 @@ def _lines(text: str):
 # -- graphs --------------------------------------------------------------------
 
 def parse_graph(text: str) -> Graph:
-    vertices: list[str] = []
-    seen: set[str] = set()
+    vertices: dict[str, None] = {}  # in order of first mention
     edges: list[tuple[str, str]] = []
-
-    def declare(v: str) -> None:
-        if v not in seen:
-            seen.add(v)
-            vertices.append(v)
-
     for lineno, line in _lines(text):
         parts = line.split()
         if parts[0] == "vertex" and len(parts) == 2:
-            declare(parts[1])
+            vertices.setdefault(parts[1])
         elif parts[0] == "edge" and len(parts) == 3:
-            declare(parts[1])
-            declare(parts[2])
+            vertices.update(dict.fromkeys(parts[1:]))
             edges.append((parts[1], parts[2]))
         else:
             raise ParseError(f"line {lineno}: expected 'vertex <name>' or 'edge <u> <v>'")
@@ -58,33 +50,23 @@ def parse_graph(text: str) -> Graph:
 
 def format_graph(g: Graph) -> str:
     # every vertex is declared so the round-trip preserves vertex order
-    lines = [f"vertex {v}" for v in g.vertices]
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    for e in sorted((sorted(e, key=pos.__getitem__) for e in g.edges),
-                    key=lambda e: (pos[e[0]], pos[e[1]])):
-        lines.append(f"edge {e[0]} {e[1]}")
+    vs = g.vertices
+    lines = [f"vertex {v}" for v in vs]
+    lines += [f"edge {vs[i]} {vs[j]}" for i, j in g.edge_pairs()]
     return "\n".join(lines) + "\n"
 
 
 # -- complexes -------------------------------------------------------------------
 
 def parse_complex(text: str) -> SimplicialComplex:
-    ambient: list[str] = []
-    seen: set[str] = set()
+    ambient: dict[str, None] = {}  # in order of first mention
     facets: list[tuple[str, ...]] = []
-
-    def declare(v: str) -> None:
-        if v not in seen:
-            seen.add(v)
-            ambient.append(v)
-
     for lineno, line in _lines(text):
         parts = line.split()
         if parts[0] == "vertex" and len(parts) == 2:
-            declare(parts[1])
+            ambient.setdefault(parts[1])
         elif parts[0] == "facet":
-            for v in parts[1:]:
-                declare(v)
+            ambient.update(dict.fromkeys(parts[1:]))
             facets.append(tuple(parts[1:]))
         else:
             raise ParseError(f"line {lineno}: expected 'vertex <name>' or 'facet v1 v2 ...'")
@@ -220,9 +202,7 @@ def format_partition(spec: PartitionSpec) -> str:
         lines.append(f"cluster U{j + 1}: " + " ".join(f"W{i + 1}" for i in c))
 
     def edges_of(g: Graph) -> str:
-        pos = {v: i + 1 for i, v in enumerate(g.vertices)}
-        pairs = sorted(tuple(sorted(pos[v] for v in e)) for e in g.edges)
-        return ",".join(f"{a}-{b}" for a, b in pairs)
+        return ",".join(f"{i + 1}-{j + 1}" for i, j in g.edge_pairs())
 
     for i, a in enumerate(spec.whisker_a):
         lines.append(f"whiskerA W{i + 1}: size={len(a.vertices)} edges=({edges_of(a)})")
@@ -234,13 +214,10 @@ def format_partition(spec: PartitionSpec) -> str:
 
 # -- DOT --------------------------------------------------------------------------
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
-    for v in g.vertices:
-        lines.append(f'  "{v}";')
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    for e in sorted((sorted(e, key=pos.__getitem__) for e in g.edges),
-                    key=lambda e: (pos[e[0]], pos[e[1]])):
-        lines.append(f'  "{e[0]}" -- "{e[1]}";')
+def graph_to_dot(g: Graph) -> str:
+    vs = g.vertices
+    lines = ["graph G {"]
+    lines += [f'  "{v}";' for v in vs]
+    lines += [f'  "{vs[i]}" -- "{vs[j]}";' for i, j in g.edge_pairs()]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,7 +2,9 @@
 
 Each check takes a random.Random and an instance count and returns a list of
 violation descriptions (empty = pass).  The CLI `properties` subcommand runs
-them all from one seed; the test suite reuses them with fixed seeds.
+them all from one seed.  The test suite runs them only through that
+subcommand, at count 2 (`test_cli_properties_deterministic`); CI runs it at
+count 50.
 """
 
 from __future__ import annotations
@@ -167,10 +169,7 @@ def _graphs_union_equal(whole: Graph, parts: list[Graph]) -> bool:
     verts = [v for p in parts for v in p.vertices]
     if sorted(verts) != sorted(whole.vertices):
         return False
-    edges = set()
-    for p in parts:
-        edges |= p.edges
-    return edges == whole.edges
+    return set().union(*(p.edges for p in parts)) == whole.edges
 
 
 def check_decompose(rng: random.Random, count: int) -> list[str]:

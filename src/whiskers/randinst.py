@@ -12,7 +12,10 @@ import random
 
 from .graph import Graph, edgeless_graph, path_graph
 from .whisker import (PartitionSpec, WhiskerError, WhiskeredGraph, build_whiskered,
-                      validate_partitions)
+                      default_spec, validate_partitions)
+
+# Cliques a random cluster partition puts into one cluster at most.
+MAX_CLUSTER_CLIQUES = 3
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4,
@@ -37,8 +40,7 @@ def random_clique_partition(rng: random.Random, g: Graph) -> list[tuple[str, ...
 
 
 def random_cluster_partition(rng: random.Random, g: Graph,
-                             cliques: list[tuple[str, ...]],
-                             max_clusters_merged: int = 3) -> list[tuple[int, ...]]:
+                             cliques: list[tuple[str, ...]]) -> list[tuple[int, ...]]:
     def independent(c1, c2) -> bool:
         return not any(g.has_edge(u, v) for u in cliques[c1] for v in cliques[c2])
 
@@ -47,7 +49,7 @@ def random_cluster_partition(rng: random.Random, g: Graph,
     clusters: list[list[int]] = []
     for i in order:
         homes = [c for c in clusters
-                 if len(c) < max_clusters_merged and all(independent(i, j) for j in c)]
+                 if len(c) < MAX_CLUSTER_CLIQUES and all(independent(i, j) for j in c)]
         if homes and rng.random() < 0.5:
             rng.choice(homes).append(i)
         else:
@@ -68,12 +70,11 @@ def _random_vd_whisker(rng: random.Random, names: list[str]) -> Graph:
 
 
 def random_instance(rng: random.Random, kind: str, max_base: int = 8,
-                    max_total: int = 14, edge_p: float | None = None
-                    ) -> tuple[Graph, PartitionSpec]:
+                    max_total: int = 14) -> tuple[Graph, PartitionSpec]:
     """A valid (graph, spec) pair for the requested kind within the budget."""
     while True:
         n = rng.randint(1, max_base)
-        g = random_graph(rng, n, edge_p if edge_p is not None else rng.uniform(0.2, 0.6))
+        g = random_graph(rng, n, rng.uniform(0.2, 0.6))
         cliques = random_clique_partition(rng, g)
         if kind == "pi":
             clusters = [(i,) for i in range(len(cliques))]
@@ -105,14 +106,8 @@ def random_instance(rng: random.Random, kind: str, max_base: int = 8,
             for j in b_sizes:
                 names = [f"b{j + 1}.{t + 1}" for t in range(b_sizes[j])]
                 b_graphs[j] = _random_vd_whisker(rng, names)
-        spec = PartitionSpec(
-            tuple(cliques), tuple(clusters),
-            tuple(a_graphs.get(i, edgeless_graph(
-                f"a{i + 1}.{t + 1}" for t in range(a_sizes[i]))) for i in range(d)),
-            tuple((b_graphs.get(j) or edgeless_graph(
-                f"b{j + 1}.{t + 1}" for t in range(b_sizes[j])))
-                  if len(c) > 1 else None
-                  for j, c in enumerate(clusters)))
+        spec = default_spec(g, cliques, clusters, a_sizes, b_sizes,
+                            a_graphs, b_graphs)
         problems = validate_partitions(g, spec)
         if problems:
             raise WhiskerError(f"random instance is invalid: {problems[0]}")
@@ -120,16 +115,16 @@ def random_instance(rng: random.Random, kind: str, max_base: int = 8,
 
 
 def random_build(rng: random.Random, kind: str, max_base: int = 8,
-                 max_total: int = 14, **kw) -> WhiskeredGraph:
-    g, spec = random_instance(rng, kind, max_base, max_total, **kw)
+                 max_total: int = 14) -> WhiskeredGraph:
+    g, spec = random_instance(rng, kind, max_base, max_total)
     return build_whiskered(g, spec, kind)
 
 
-def random_complex_facets(rng: random.Random, n_vertices: int,
-                          n_facets: int | None = None) -> list[tuple[str, ...]]:
+def random_complex_facets(rng: random.Random,
+                          n_vertices: int) -> list[tuple[str, ...]]:
     """Random nonvoid facet list on vertices 1..n (antichain after reduction)."""
     names = [str(i + 1) for i in range(n_vertices)]
-    n_facets = n_facets or rng.randint(1, max(2, n_vertices))
+    n_facets = rng.randint(1, max(2, n_vertices))
     out = []
     for _ in range(n_facets):
         size = rng.randint(0, n_vertices)

@@ -57,9 +57,6 @@ class PartitionSpec:
     def type(self) -> tuple[int, int]:
         return self.d, self.r
 
-    def multi_clusters(self) -> list[int]:
-        return [j for j, c in enumerate(self.clusters) if len(c) > 1]
-
     def cluster_of(self, clique_index: int) -> int:
         for j, c in enumerate(self.clusters):
             if clique_index in c:
@@ -108,9 +105,9 @@ def default_spec(g: Graph,
     return PartitionSpec(cl, cls, was, tuple(wbs))
 
 
-def trivial_spec(g: Graph, a_sizes: Sequence[int] | None = None) -> PartitionSpec:
+def trivial_spec(g: Graph) -> PartitionSpec:
     """Singleton cliques, singleton clusters: the classic whiskering setup."""
-    return default_spec(g, [(v,) for v in g.vertices], a_sizes=a_sizes)
+    return default_spec(g, [(v,) for v in g.vertices])
 
 
 def validate_partitions(g: Graph, spec: PartitionSpec) -> list[str]:
@@ -238,25 +235,18 @@ def build_whiskered(g: Graph, spec: PartitionSpec, kind: str) -> WhiskeredGraph:
     if bad:
         raise WhiskerError("invalid partition spec:\n  " + "\n  ".join(bad))
 
+    # each whisker graph with the base vertices its vertices are joined to
+    pieces = [(a, spec.cliques[i]) for i, a in enumerate(spec.whisker_a)]
+    pieces += [(b, [w for i in spec.clusters[j] for w in spec.cliques[i]])
+               for j, b in enumerate(spec.whisker_b) if b is not None]
     vertices = list(g.vertices)
     edges = [tuple(e) for e in g.edges]
-    added: list[str] = []
-    for i, a in enumerate(spec.whisker_a):
-        vertices.extend(a.vertices)
-        added.extend(a.vertices)
-        edges.extend(tuple(e) for e in a.edges)
-        for av in a.vertices:
-            edges.extend((av, w) for w in spec.cliques[i])
-    for j, b in enumerate(spec.whisker_b):
-        if b is None:
-            continue
-        vertices.extend(b.vertices)
-        added.extend(b.vertices)
-        edges.extend(tuple(e) for e in b.edges)
-        cluster_vertices = [w for i in spec.clusters[j] for w in spec.cliques[i]]
-        for bv in b.vertices:
-            edges.extend((bv, w) for w in cluster_vertices)
-    return WhiskeredGraph(Graph(vertices, edges), g, spec, kind, frozenset(added))
+    for h, attach in pieces:
+        vertices.extend(h.vertices)
+        edges.extend(tuple(e) for e in h.edges)
+        edges.extend((x, w) for x in h.vertices for w in attach)
+    added = frozenset(vertices[len(g.vertices):])
+    return WhiskeredGraph(Graph(vertices, edges), g, spec, kind, added)
 
 
 # -- structural decompositions ----------------------------------------------

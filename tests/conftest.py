@@ -1,9 +1,12 @@
 """Shared example builders and small independent oracles."""
 
+import random
+
 import pytest
 
-from whiskers import (PartitionSpec, build_whiskered, cycle_graph,
+from whiskers import (Graph, PartitionSpec, build_whiskered, cycle_graph,
                       default_spec, edgeless_graph, path_graph)
+from whiskers.randinst import random_build, random_graph
 
 
 def c6():
@@ -51,6 +54,25 @@ def c8_cc():
     spec = default_spec(g, [("v1", "v2"), ("v3", "v4"), ("v5", "v6"),
                             ("v7", "v8")], clusters=[(0, 2), (1, 3)])
     return build_whiskered(g, spec, "cc")
+
+
+def seeded_graphs():
+    """The empty graph, edgeless graphs, seeded random graphs on 0-12
+    vertices and seeded pi/cc/mc/md builds."""
+    rng = random.Random("seeded-graphs")
+    out = [Graph(), edgeless_graph(["a"]), edgeless_graph(["x", "y", "z"])]
+    out += [random_graph(rng, n % 13, rng.uniform(0.05, 0.9)) for n in range(39)]
+    out += [random_build(rng, kind, max_base=6, max_total=12).graph
+            for kind in ("pi", "cc", "mc", "md") * 3]
+    return out
+
+
+def fresh_copy(g, rng):
+    """g rebuilt from its names, edges shuffled and their ends swapped at
+    random."""
+    edges = [tuple(rng.sample(e, 2)) for e in sorted(map(sorted, g.edges))]
+    rng.shuffle(edges)
+    return Graph(g.vertices, edges)
 
 
 def all_antichains(n):

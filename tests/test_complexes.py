@@ -14,7 +14,7 @@ from whiskers import (ComplexError, SimplicialComplex, build_whiskered,
 from whiskers.fields import GF2, QQ, FieldSpec
 from whiskers.randinst import random_complex_facets
 
-from conftest import c6
+from conftest import c6, seeded_graphs
 
 
 def complexes(max_n=8):
@@ -62,6 +62,17 @@ def test_independence_complex_of_large_pi_build():
     ind = independence_complex(g)
     assert time.process_time() - start < 3.0
     assert len(ind.facets) == c20.independent_set_count() == 15127
+
+
+def test_independence_complex_matches_name_route():
+    """The complex built from the enumeration's masks equals the one the
+    normaliser builds from the names of the maximal independent sets."""
+    for g in seeded_graphs():
+        ind = independence_complex(g)
+        by_names = SimplicialComplex(g.vertices, g.maximal_independent_sets())
+        assert ind == by_names and hash(ind) == hash(by_names)
+        assert ind.facets == by_names.facets
+        assert ind.facet_tuples() == g.maximal_independent_sets()
 
 
 def test_faces_and_nonfaces():

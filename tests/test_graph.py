@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whiskers import Graph, GraphError, complete_graph, cycle_graph, path_graph
+from whiskers import (Graph, GraphError, ResourceLimit, complete_graph,
+                      cycle_graph, format_graph, graph_to_dot, path_graph)
+from whiskers.graph import MIS_ENUMERATION_BOUND
 from whiskers.randinst import random_graph
 
-from conftest import c6
+from conftest import c6, fresh_copy, seeded_graphs
 
 
 def brute_independent_subsets(g):
@@ -59,6 +61,59 @@ def test_subgraph_ops():
     assert h.vertices == ("1", "2", "4") and h.edges == {frozenset(("1", "2"))}
     assert g.delete_vertices(["5"]).vertices == ("1", "2", "3", "4")
     assert set(g.delete_closed_neighborhood("1").vertices) == {"3", "4"}
+
+
+def _old_format_graph(g):
+    """format_graph as it was written when graphs kept a frozenset of edges:
+    the edge names sorted by vertex position."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    pairs = sorted(sorted(e, key=pos.__getitem__) for e in g.edges)
+    pairs.sort(key=lambda e: (pos[e[0]], pos[e[1]]))
+    lines = [f"vertex {v}" for v in g.vertices]
+    lines += [f"edge {u} {v}" for u, v in pairs]
+    return "\n".join(lines) + "\n"
+
+
+def test_derived_graphs_match_fresh_builds():
+    """Graphs derived on bitsets equal, hash, list and print like graphs
+    built from names, whatever the order and direction of the edges."""
+    rng = random.Random(11)
+    graphs = seeded_graphs()
+    for g, other in zip(graphs, graphs[1:] + graphs[:1]):
+        vs = g.vertices
+        keep = {v for v in vs if rng.random() < 0.6}
+        drop = set(vs) - keep
+        centre = rng.choice(vs) if vs else None
+        gone = g.closed_neighborhood(centre) if vs else set()
+        renamed = Graph([f"{v}'" for v in other.vertices],
+                        [(f"{u}'", f"{v}'") for u, v in map(sorted, other.edges)])
+        pairs = {frozenset(p) for p in combinations(vs, 2)}
+        cases = [(g.induce(keep), {e for e in g.edges if e <= keep}),
+                 (g.delete_vertices(drop), {e for e in g.edges if e <= keep}),
+                 (g.complement(), pairs - g.edges),
+                 (g.disjoint_union(renamed), g.edges | renamed.edges)]
+        if vs:
+            cases.append((g.delete_closed_neighborhood(centre),
+                          {e for e in g.edges if not e & gone}))
+        for h, edges in cases:
+            fresh = fresh_copy(h, rng)
+            assert h.edges == fresh.edges == edges
+            assert h == fresh and hash(h) == hash(fresh)
+            assert format_graph(h) == format_graph(fresh) == _old_format_graph(h)
+            assert graph_to_dot(h) == graph_to_dot(fresh)
+            assert repr(h) == repr(fresh) == (f"Graph({len(h.vertices)} vertices, "
+                                              f"{len(edges)} edges)")
+        assert g.complement() != g or len(vs) < 2
+
+
+def test_mis_enumeration_bound():
+    """A perfect matching on 2k vertices has 2^k maximal independent sets."""
+    k = MIS_ENUMERATION_BOUND.bit_length() - 1
+    at_bound = Graph([], [(f"a{i}", f"b{i}") for i in range(k)])
+    assert len(at_bound.maximal_independent_sets()) == MIS_ENUMERATION_BOUND
+    over = Graph([], [(f"a{i}", f"b{i}") for i in range(k + 1)])
+    with pytest.raises(ResourceLimit, match=f"bound {MIS_ENUMERATION_BOUND}$"):
+        over.maximal_independent_sets()
 
 
 def test_components_and_union():

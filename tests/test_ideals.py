@@ -22,7 +22,7 @@ from whiskers.ideals import (HOM_CACHE_BOUND, ORACLE_AMBIENT_CEILING,
                              _subset_tables)
 from whiskers.randinst import random_build, random_graph
 
-from conftest import c6, c6_ears_spec
+from conftest import c6, c6_ears_spec, seeded_graphs
 
 
 # -- independent Koszul oracle --------------------------------------------------
@@ -178,12 +178,26 @@ def test_rank_kernels_match_brute_force():
 # -- conventions and table algebra ----------------------------------------------
 
 def test_ideal_kinds_and_identities():
-    g = c6()
-    ind = independence_complex(g)
-    assert ideal_of(ind, "stanley-reisner") == ideal_of(g, "edge")
-    assert ideal_of(ind.alexander_dual(), "stanley-reisner") \
-        == ideal_of(ind.complement_facet_complex(), "facet") \
-        == ideal_of(g, "cover")
+    for g in [c6()] + seeded_graphs():
+        ind = independence_complex(g)
+        assert ideal_of(ind, "stanley-reisner") == ideal_of(g, "edge")
+        if g.vertices:  # the empty ambient set has no Alexander dual
+            assert ideal_of(ind.alexander_dual(), "stanley-reisner") \
+                == ideal_of(ind.complement_facet_complex(), "facet") \
+                == ideal_of(g, "cover")
+        # each kind equals the ideal the normaliser builds from names
+        full = set(g.vertices)
+        covers = [full - set(s) for s in g.maximal_independent_sets()]
+        nonfaces = [s for k in range(len(full) + 1)
+                    for s in combinations(g.vertices, k) if not ind.has_face(s)]
+        for kind, source, ambient, gens in (
+                ("edge", g, g.vertices, g.edges),
+                ("cover", g, g.vertices, covers),
+                ("facet", ind, ind.ambient, ind.facets),
+                ("stanley-reisner", ind, ind.ambient, nonfaces)):
+            got, want = ideal_of(source, kind), MonomialIdeal(ambient, gens)
+            assert got == want and hash(got) == hash(want), kind
+            assert got.generator_tuples() == want.generator_tuples(), kind
 
 
 def test_generator_antichain():

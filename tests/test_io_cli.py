@@ -16,6 +16,7 @@ from whiskers import (build_whiskered, cycle_graph, format_complex, format_graph
                       format_partition, graph_to_dot, parse_complex,
                       parse_graph, parse_partition, trivial_spec)
 from whiskers.cli import run
+from whiskers.graph import MIS_ENUMERATION_BOUND
 from whiskers.ideals import ORACLE_AMBIENT_CEILING
 from whiskers.io import ParseError
 from whiskers.randinst import random_complex_facets, random_instance
@@ -222,7 +223,7 @@ def test_cli_properties_deterministic(files):
     assert text1.count("PASS") == 16
 
 
-def test_cli_error_codes(files):
+def test_cli_error_codes(files, capsys):
     code, _ = run_cli("facets", "--graph", "missing.graph",
                       "--partition", str(files / "ears.part"))
     assert code == 2
@@ -249,6 +250,18 @@ def test_cli_error_codes(files):
         code, _ = run_cli("build", "--graph", str(files / "c6.graph"),
                           "--partition", str(files / name))
         assert code == 2, name
+    # a perfect matching on 40 vertices has 2^20 maximal independent sets
+    (files / "m40.graph").write_text(
+        "".join(f"edge a{i} b{i}\n" for i in range(20)))
+    capsys.readouterr()
+    for command in ("check-vd", "betti"):
+        start = time.perf_counter()
+        code, _ = run_cli(command, "--graph", str(files / "m40.graph"))
+        assert time.perf_counter() - start < 3, command
+        assert code == 3, command
+        assert capsys.readouterr().err == (
+            "resource limit: maximal independent sets exceed the enumeration "
+            f"bound {MIS_ENUMERATION_BOUND}\n"), command
 
 
 def test_cli_deterministic_output(files):
