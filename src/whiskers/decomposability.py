@@ -3,10 +3,14 @@ unmixedness, and the componentwise-linear-dual criterion.
 
 The decomposability search keeps every subcomplex as int bitmasks over the
 input's own vertex bits, numbered once in the string order of the names, and
-never renumbers them.  Its memo is keyed by the facet set and lives for one
-top-level call, so a long-lived process keeps none of it.  A ``False`` there
-holds on every path, because vertex decomposability does not depend on the
-trial order; a tree there only says "yes".
+never renumbers them.  Its memo is keyed by the facet set with its cone
+points (the vertices in every facet) removed, and lives for one top-level
+call, so a long-lived process keeps none of it.  The key is exact because a
+cone x*G is vertex decomposable exactly when G is (Provan-Billera), so a
+cone and its base share one verdict.  A ``False`` there holds on every
+path, because vertex decomposability does not depend on the trial order; a
+tree there only says "yes", and the search still expands the facets as
+given, so a certificate never comes from another complex's entry.
 
 The trial order is descending degree in the 1-skeleton, ties broken by each
 subcomplex's labels, so the labels fix which certificate is found.  The
@@ -87,13 +91,16 @@ def _split(facets: FacetSet, x) -> tuple[list, list] | None:
 def _split_masks(facets: Collection[int], bit: int) -> tuple[list[int], list[int]] | None:
     """`_split` on bitmask facets; ``bit`` is the shed vertex's bit."""
     keep = [f for f in facets if not f & bit]
-    link = [f ^ bit for f in facets if f & bit]
-    for c in link:
-        for k in keep:
-            if not c & ~k:  # facets form an antichain, so c != k
-                break
-        else:
-            return None
+    link = []
+    for f in facets:
+        if f & bit:
+            c = f ^ bit
+            for k in keep:
+                if not c & ~k:  # facets form an antichain, so c != k
+                    break
+            else:  # most failing calls stop here, before the rest of link
+                return None
+            link.append(c)
     return keep, link
 
 
@@ -114,7 +121,11 @@ def _search(facets: Collection[int], order: list[int] | None,
     """
     if len(facets) <= 1:
         return ("simplex",)
-    key = frozenset(facets)
+    apex = -1
+    for f in facets:
+        apex &= f
+    # a cone is VD exactly when its base is, so cones share their base's key
+    key = frozenset(f ^ apex for f in facets) if apex else frozenset(facets)
     known = memo.get(key)
     if known is False or known is not None and order is None:
         return known

@@ -46,11 +46,11 @@ class FacetPoset:
             raise PosetError("least element (the all-whisker facet) is missing")
         self._index = {bp: i for i, bp in enumerate(self.base_parts)}
         # Hasse diagram: covers add exactly one base vertex
-        self.covers: list[list[int]] = [[] for _ in self.facets]
-        for i, small in enumerate(self.base_parts):
-            for j, big in enumerate(self.base_parts):
-                if len(big) == len(small) + 1 and small < big:
-                    self.covers[i].append(j)
+        base = set(w.base.vertices)
+        self.covers: list[list[int]] = []
+        for small in self.base_parts:
+            ups = (self._index.get(small | {v}) for v in base - small)
+            self.covers.append(sorted(j for j in ups if j is not None))
 
     def __len__(self) -> int:
         return len(self.facets)

@@ -101,6 +101,44 @@ def test_shedding_vertices_match_brute_force(c):
     assert shedding_vertices(c, weak=True) == weak
 
 
+def _cone(c, apex):
+    return SimplicialComplex(list(c.ambient) + [apex],
+                             [set(f) | {apex} for f in c.facets])
+
+
+def test_cones_share_verdicts_and_shedding():
+    """The memo keys a cone by its base, so a cone and a double cone must
+    give the base's verdict, replayable certificates of their own, and the
+    base's shedding lists: the apex never sheds, its deletion is void."""
+    rng = random.Random(53)
+    cases = []
+    for t in range(40):
+        n = rng.randint(1, 6 if t % 2 else 11)
+        cases.append(SimplicialComplex([str(i + 1) for i in range(n)],
+                                       random_complex_facets(rng, n)))
+    cases += [independence_complex(random_graph(rng, rng.randint(4, 13),
+                                                 rng.uniform(0.25, 0.5)))
+              for _ in range(25)]
+    verdicts = set()
+    for c in cases:
+        cone = _cone(c, "apex")
+        cones = [cone, _cone(cone, "top")]
+        verdict = is_vertex_decomposable(c).decomposable
+        if len(c.ambient) <= 6:
+            assert verdict == is_vd_brute_force(c)
+        strong, weak = shedding_vertices(c), shedding_vertices(c, weak=True)
+        for k in cones:
+            cert = is_vertex_decomposable(k)
+            assert cert.decomposable == verdict
+            if verdict:
+                assert verify_certificate(k, cert)
+            assert shedding_vertices(k) == strong
+            assert shedding_vertices(k, weak=True) == weak
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert max(len(c.ambient) for c in cases) >= 10
+
+
 def test_vd_exhaustive_4_vertices():
     names = ["1", "2", "3", "4"]
     for ac in all_antichains(4):

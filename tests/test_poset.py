@@ -1,13 +1,16 @@
 """Facet poset of pi-builds: order, intervals, counting routes."""
 
+import io
 import random
 from math import factorial
 
 import pytest
 
 from whiskers import (FacetPoset, PosetError, ResourceLimit, build_whiskered,
-                      count_facets_pi, cycle_graph, independence_complex,
+                      count_facets_pi, cycle_graph, default_spec,
+                      format_graph, format_partition, independence_complex,
                       trivial_spec)
+from whiskers.cli import run
 from whiskers.poset import INCLUSION_EXCLUSION_MIS_BOUND
 from whiskers.randinst import random_instance
 
@@ -96,3 +99,52 @@ def test_count_facets_pi_budget():
                        match=f"29 maximal independent sets > bound "
                              f"{INCLUSION_EXCLUSION_MIS_BOUND}"):
         count_facets_pi(c12, trivial_spec(c12))
+
+
+def _pairwise_covers(p):
+    """The Hasse covers by definition: one more element and a proper
+    superset, in index order."""
+    bps = p.base_parts
+    return [[j for j, big in enumerate(bps)
+             if len(big) == len(small) + 1 and small < big]
+            for small in bps]
+
+
+def _seeded_pi_builds():
+    rng = random.Random(29)
+    builds = [build_whiskered(*random_instance(rng, "pi", max_base=7,
+                                               max_total=14), "pi")
+              for _ in range(15)]
+    for n in range(6, 13):
+        # names like x17 sort as strings, not as numbers
+        g = cycle_graph([f"x{i}" for i in rng.sample(range(10 * n), n)])
+        vs = g.vertices
+        builds.append(build_whiskered(g, trivial_spec(g), "pi"))
+        ears = default_spec(g, [vs[i:i + 2] for i in range(0, n, 2)])
+        builds.append(build_whiskered(g, ears, "pi"))
+    return builds
+
+
+def test_covers_match_pairwise_reference():
+    for w in _seeded_pi_builds():
+        p = FacetPoset(w)
+        ref = _pairwise_covers(p)
+        assert p.covers == ref
+        lines = ["digraph hasse {", "  rankdir=BT;"]
+        lines += [f'  n{i} [label="{" ".join(sorted(f))}"];'
+                  for i, f in enumerate(p.facets)]
+        lines += [f"  n{i} -> n{j};" for i, ups in enumerate(ref) for j in ups]
+        lines.append("}")
+        assert p.to_dot() == "\n".join(lines)
+
+
+def test_cli_poset_on_c16(tmp_path):
+    g = cycle_graph([f"v{i}" for i in range(16)])
+    (tmp_path / "c16.graph").write_text(format_graph(g))
+    (tmp_path / "c16.part").write_text(format_partition(trivial_spec(g)))
+    out = io.StringIO()
+    code = run(["poset", "--graph", str(tmp_path / "c16.graph"),
+                "--partition", str(tmp_path / "c16.part")], out=out)
+    assert code == 0
+    assert out.getvalue().startswith("2207 elements, ")
+    assert g.independent_set_count() == 2207
