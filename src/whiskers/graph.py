@@ -141,12 +141,12 @@ class Graph:
 
     def sort_set(self, vs: Iterable[str]) -> tuple[str, ...]:
         """Canonical form of a vertex subset: sorted by vertex order."""
-        return tuple(sorted(vs, key=self._pos.__getitem__))
+        return tuple(sorted(vs, key=self._require))
 
     def sort_sets(self, sets: Iterable[Iterable[str]]) -> list[tuple[str, ...]]:
         """Canonicalize each set and sort the list lexicographically."""
         keyed = sorted(
-            (tuple(sorted(self._pos[v] for v in s)) for s in sets))
+            (tuple(sorted(map(self._require, s))) for s in sets))
         return [tuple(self.vertices[i] for i in key) for key in keyed]
 
     # -- derived graphs ----------------------------------------------------

@@ -74,14 +74,14 @@ class FacetPoset:
             raise PosetError("not a poset element")
         if self.covers[i]:
             raise PosetError("interval statistics are defined for maximal elements")
-        members = [j for j, bp in enumerate(self.base_parts) if bp <= top]
-        # chains counted by dynamic programming over cover relations
-        chains = {self._index[frozenset()]: 1}
-        for j in sorted(members, key=lambda j: len(self.base_parts[j])):
-            for up in self.covers[j]:
-                if self.base_parts[up] <= top:
-                    chains[up] = chains.get(up, 0) + chains[j]
-        return len(members), chains.get(i, 1 if i == 0 else 0)
+        # chains by dynamic programming up the covers; parts below i come first
+        chains = {0: 1}
+        for j in range(i):
+            if j in chains:
+                for up in self.covers[j]:
+                    if self.base_parts[up] <= top:
+                        chains[up] = chains.get(up, 0) + chains[j]
+        return len(chains), chains.get(i, 0)
 
     def to_dot(self) -> str:
         def label(i: int) -> str:

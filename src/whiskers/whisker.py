@@ -13,8 +13,17 @@ kinds:
   md  whisker graphs arbitrary but each must induce a vertex decomposable
       subgraph.
 
+The kinds nest in ``KINDS`` order: a spec fits its most specific kind
+(``derive_kind``) and every later one, so a requested kind is checked by its
+place in that order, plus the vertex decomposability of the whisker graphs
+for md.  A build is assembled on adjacency bitsets: each whisker graph's
+bitsets are shifted past the vertices before it and joined to the mask of
+the base vertices it attaches to.
+
 The type of a construction is (d, r) with d the number of cliques and r the
-number of multi-clique clusters.
+number of multi-clique clusters.  Deleting a base vertex v or its closed
+neighbourhood N[v] leaves a build of the same family plus detached whisker
+pieces; both decompositions share one residual rule.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Graph, GraphError, edgeless_graph
+from .graph import Graph, GraphError, _mask_bits, edgeless_graph
 
 KINDS = ("pi", "cc", "mc", "md")
 
@@ -56,18 +65,6 @@ class PartitionSpec:
     @property
     def type(self) -> tuple[int, int]:
         return self.d, self.r
-
-    def cluster_of(self, clique_index: int) -> int:
-        for j, c in enumerate(self.clusters):
-            if clique_index in c:
-                return j
-        raise WhiskerError(f"clique {clique_index} not in any cluster")
-
-    def clique_of(self, v: str) -> int:
-        for i, w in enumerate(self.cliques):
-            if v in w:
-                return i
-        raise WhiskerError(f"vertex {v!r} not in any clique")
 
 
 def default_spec(g: Graph,
@@ -197,9 +194,9 @@ class WhiskeredGraph:
 def derive_kind(spec: PartitionSpec) -> str:
     """The most specific construction kind a spec qualifies for."""
     whiskers = list(spec.whisker_a) + [b for b in spec.whisker_b if b is not None]
-    if any(w.edges for w in whiskers):
+    if any(any(h._adj) for h in whiskers):
         return "md"
-    if any(len(w.vertices) > 1 for w in whiskers):
+    if any(len(h.vertices) > 1 for h in whiskers):
         return "mc"
     if all(len(c) == 1 for c in spec.clusters):
         return "pi"
@@ -207,25 +204,17 @@ def derive_kind(spec: PartitionSpec) -> str:
 
 
 def _check_kind(spec: PartitionSpec, kind: str) -> list[str]:
-    bad = []
-    whiskers = list(spec.whisker_a) + [b for b in spec.whisker_b if b is not None]
-    if kind in ("pi", "cc", "mc"):
-        if any(w.edges for w in whiskers):
-            bad.append(f"kind={kind} requires edgeless whisker graphs")
-    if kind in ("pi", "cc"):
-        if any(len(w.vertices) != 1 for w in whiskers):
-            bad.append(f"kind={kind} requires all |A_i| = |B_j| = 1")
-    if kind == "pi":
-        if any(len(c) > 1 for c in spec.clusters):
-            bad.append("kind=pi requires every cluster to be a single clique")
-    if kind == "md":
-        from .decomposability import is_vd_graph
-        for label, w in ([(f"A{i + 1}", a) for i, a in enumerate(spec.whisker_a)]
-                         + [(f"B{j + 1}", b) for j, b in enumerate(spec.whisker_b)
-                            if b is not None]):
-            if not is_vd_graph(w):
-                bad.append(f"kind=md whisker graph {label} is not vertex decomposable")
-    return bad
+    derived = derive_kind(spec)
+    if KINDS.index(kind) < KINDS.index(derived):
+        return [f"kind={kind} does not fit a spec of kind {derived}"]
+    if kind != "md":
+        return []
+    from .decomposability import is_vd_graph
+    labelled = ([(f"A{i + 1}", a) for i, a in enumerate(spec.whisker_a)]
+                + [(f"B{j + 1}", b) for j, b in enumerate(spec.whisker_b)
+                   if b is not None])
+    return [f"kind=md whisker graph {label} is not vertex decomposable"
+            for label, h in labelled if not is_vd_graph(h)]
 
 
 def build_whiskered(g: Graph, spec: PartitionSpec, kind: str) -> WhiskeredGraph:
@@ -240,126 +229,82 @@ def build_whiskered(g: Graph, spec: PartitionSpec, kind: str) -> WhiskeredGraph:
     pieces += [(b, [w for i in spec.clusters[j] for w in spec.cliques[i]])
                for j, b in enumerate(spec.whisker_b) if b is not None]
     vertices = list(g.vertices)
-    edges = [tuple(e) for e in g.edges]
+    adj = list(g._adj)
     for h, attach in pieces:
+        start = len(vertices)
+        attach_mask = g._to_mask(attach)
+        block = (1 << len(h.vertices)) - 1 << start
+        for x in _mask_bits(attach_mask):
+            adj[x] |= block
         vertices.extend(h.vertices)
-        edges.extend(tuple(e) for e in h.edges)
-        edges.extend((x, w) for x in h.vertices for w in attach)
+        adj.extend(a << start | attach_mask for a in h._adj)
+    built = Graph(vertices)
+    built._adj = tuple(adj)
     added = frozenset(vertices[len(g.vertices):])
-    return WhiskeredGraph(Graph(vertices, edges), g, spec, kind, added)
+    return WhiskeredGraph(built, g, spec, kind, added)
 
 
 # -- structural decompositions ----------------------------------------------
 
-def _rebuild(base: Graph,
-             cliques: list[tuple[str, ...]],
-             clusters: list[list[int]],
-             whisker_a: list[Graph],
-             whisker_b: list[Graph | None]) -> WhiskeredGraph:
-    spec = PartitionSpec(tuple(cliques), tuple(tuple(c) for c in clusters),
-                         tuple(whisker_a), tuple(whisker_b))
-    return build_whiskered(base, spec, derive_kind(spec))
+def _residual(w: WhiskeredGraph,
+              removed: frozenset[str]) -> tuple[WhiskeredGraph, list[Graph]]:
+    """W.graph minus ``removed`` ({v} or N[v] for a base vertex v), as a
+    whiskered graph on the surviving base vertices plus detached pieces.
 
-
-def decompose_delete(w: WhiskeredGraph, v: str) -> tuple[WhiskeredGraph, list[Graph]]:
-    """W.graph minus v, as a whiskered graph on base minus v plus detached pieces.
-
-    When v's clique disappears its whisker graph A_i detaches; when that
-    leaves a cluster with a single clique, the cluster's B merges into the
-    surviving clique's A.
+    A clique left empty drops out, and its A detaches unless A was removed
+    with it.  A cluster whose B was removed (v's own, on the link side)
+    splits into singleton clusters of its surviving cliques, which condition
+    (2) keeps whole.  Any other cluster left without cliques detaches its B,
+    and one left with a single clique folds its B into that clique's A.
     """
-    if v not in w.base:
-        raise GraphError(f"{v!r} is not a base vertex")
     spec = w.spec
-    i = spec.clique_of(v)
-    k = spec.cluster_of(i)
-    new_base = w.base.delete_vertices([v])
-
-    if len(spec.cliques[i]) > 1:
-        cliques = list(spec.cliques)
-        cliques[i] = tuple(x for x in cliques[i] if x != v)
-        return _rebuild(new_base, cliques, [list(c) for c in spec.clusters],
-                        list(spec.whisker_a), list(spec.whisker_b)), []
-
-    # W_i = {v}: the clique disappears and A_i detaches.
-    isolated = [w.graph.induce(spec.whisker_a[i].vertices)]
-    cliques = [c for idx, c in enumerate(spec.cliques) if idx != i]
-    whisker_a = [a for idx, a in enumerate(spec.whisker_a) if idx != i]
-    remap = {old: new for new, old in
-             enumerate(idx for idx in range(spec.d) if idx != i)}
-    clusters: list[list[int]] = []
-    whisker_b: list[Graph | None] = []
-    for j, c in enumerate(spec.clusters):
-        members = [remap[x] for x in c if x != i]
-        if not members:
-            continue  # cluster k was the singleton {i}; no B to account for
-        if len(members) == 1 and len(c) > 1 and j == k:
-            # cluster lost v's clique and only one clique remains: its B
-            # vertices now whisker that clique alone, so fold B into its A
-            lone = members[0]
-            whisker_a[lone] = whisker_a[lone].disjoint_union(spec.whisker_b[j])
-            clusters.append(members)
-            whisker_b.append(None)
-        else:
-            clusters.append(members)
-            whisker_b.append(spec.whisker_b[j])
-    return _rebuild(new_base, cliques, clusters, whisker_a, whisker_b), isolated
-
-
-def decompose_link(w: WhiskeredGraph, v: str) -> tuple[WhiskeredGraph, list[Graph], tuple[int, int]]:
-    """W.graph minus N[v]: residual whiskered graph, detached pieces, and type.
-
-    Removes v's clique, its A, its cluster's B and v's base neighbours.
-    Cliques that vanish entirely leave their A detached; clusters that lose
-    all cliques leave their B detached; a cluster left with one clique folds
-    its B into that clique's A; v's own cluster mates lose their B and turn
-    into singleton clusters.
-    """
-    if v not in w.base:
-        raise GraphError(f"{v!r} is not a base vertex")
-    spec = w.spec
-    i = spec.clique_of(v)
-    k = spec.cluster_of(i)
-    removed_base = w.base.closed_neighborhood(v)
-    new_base = w.base.delete_vertices(removed_base)
-
     cliques: list[tuple[str, ...]] = []
     whisker_a: list[Graph] = []
     remap: dict[int, int] = {}
     isolated: list[Graph] = []
-    for idx, c in enumerate(spec.cliques):
-        rest = tuple(x for x in c if x not in removed_base)
-        if idx == i:
-            continue  # v's clique: W_i and A_i are inside N[v]
-        if not rest:
-            isolated.append(w.graph.induce(spec.whisker_a[idx].vertices))
-            continue
-        remap[idx] = len(cliques)
-        cliques.append(rest)
-        whisker_a.append(spec.whisker_a[idx])
+    for i, c in enumerate(spec.cliques):
+        rest = tuple(x for x in c if x not in removed)
+        if rest:
+            remap[i] = len(cliques)
+            cliques.append(rest)
+            whisker_a.append(spec.whisker_a[i])
+        elif removed.isdisjoint(spec.whisker_a[i].vertices):
+            isolated.append(w.graph.induce(spec.whisker_a[i].vertices))
 
-    clusters: list[list[int]] = []
+    clusters: list[tuple[int, ...]] = []
     whisker_b: list[Graph | None] = []
     for j, c in enumerate(spec.clusters):
-        members = [remap[x] for x in c if x in remap]
-        if j == k:
-            # B_k is adjacent to v, hence removed; surviving mates become
-            # singleton clusters (condition (2) kept them untouched by N(v))
-            for m in members:
-                clusters.append([m])
-                whisker_b.append(None)
-            continue
-        if not members:
-            if spec.whisker_b[j] is not None:
-                isolated.append(w.graph.induce(spec.whisker_b[j].vertices))
-            continue
-        if len(members) == 1 and len(c) > 1:
-            lone = members[0]
-            whisker_a[lone] = whisker_a[lone].disjoint_union(spec.whisker_b[j])
+        members = tuple(remap[i] for i in c if i in remap)
+        b = spec.whisker_b[j]
+        if b is not None and not removed.isdisjoint(b.vertices):
+            clusters += [(m,) for m in members]
+            whisker_b += [None] * len(members)
+        elif not members:
+            if b is not None:
+                isolated.append(w.graph.induce(b.vertices))
+        elif len(members) == 1 and b is not None:
+            whisker_a[members[0]] = whisker_a[members[0]].disjoint_union(b)
             clusters.append(members)
             whisker_b.append(None)
         else:
             clusters.append(members)
-            whisker_b.append(spec.whisker_b[j])
-    residual = _rebuild(new_base, cliques, clusters, whisker_a, whisker_b)
+            whisker_b.append(b)
+    base = w.base.induce(x for x in w.base.vertices if x not in removed)
+    residual = PartitionSpec(tuple(cliques), tuple(clusters),
+                             tuple(whisker_a), tuple(whisker_b))
+    return build_whiskered(base, residual, derive_kind(residual)), isolated
+
+
+def decompose_delete(w: WhiskeredGraph, v: str) -> tuple[WhiskeredGraph, list[Graph]]:
+    """W.graph minus v: residual whiskered graph and detached pieces."""
+    if v not in w.base:
+        raise GraphError(f"{v!r} is not a base vertex")
+    return _residual(w, frozenset([v]))
+
+
+def decompose_link(w: WhiskeredGraph, v: str) -> tuple[WhiskeredGraph, list[Graph], tuple[int, int]]:
+    """W.graph minus N[v]: residual whiskered graph, detached pieces, and type."""
+    if v not in w.base:
+        raise GraphError(f"{v!r} is not a base vertex")
+    residual, isolated = _residual(w, w.graph.closed_neighborhood(v))
     return residual, isolated, residual.type

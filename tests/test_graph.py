@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whiskers import (Graph, GraphError, ResourceLimit, complete_graph,
-                      cycle_graph, format_graph, graph_to_dot, path_graph)
+                      cycle_graph, default_spec, format_graph, graph_to_dot,
+                      path_graph)
 from whiskers.graph import MIS_ENUMERATION_BOUND
 from whiskers.randinst import random_graph
 
@@ -43,6 +44,17 @@ def test_construction_rejects_bad_edges():
         Graph(["a", "b"], [("a", "a")])
     with pytest.raises(GraphError):
         Graph(["a", "a"], [])
+
+
+def test_unknown_names_raise_graph_error():
+    # names from outside input fail as GraphError, a usage error (exit 2)
+    g = cycle_graph(["1", "2", "3"])
+    with pytest.raises(GraphError, match="unknown vertex 'zz'"):
+        g.sort_set(["zz"])
+    with pytest.raises(GraphError, match="unknown vertex 'zz'"):
+        g.sort_sets([["1"], ["2", "zz"]])
+    with pytest.raises(GraphError, match="unknown vertex 'zz'"):
+        default_spec(g, [("zz",)])
 
 
 def test_basic_accessors():

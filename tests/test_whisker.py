@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from whiskers import (Graph, WhiskerError, build_whiskered,
+from whiskers import (Graph, WhiskerError, build_whiskered, cycle_graph,
                       decompose_delete, decompose_link, default_spec,
                       derive_kind, edgeless_graph, path_graph, trivial_spec,
                       validate_partitions)
+from whiskers.whisker import KINDS
 from whiskers.randinst import random_build, random_instance
 
 from conftest import c6, c6_ears, c8_cc, fig_mc, fig_odd_even
@@ -42,6 +43,34 @@ def test_kind_constraints():
     spec = default_spec(g, [("1",), ("2",)], clusters=[(0, 1)], a_sizes=[2, 1])
     with pytest.raises(WhiskerError):
         build_whiskered(g, spec, "cc")  # |A1| = 2 is not a cc build
+
+
+def test_kinds_rejected_exactly_before_the_derived_kind():
+    rng = random.Random(17)
+    derived = set()
+    for kind in KINDS:
+        for _ in range(8):
+            g, spec = random_instance(rng, kind)
+            least = KINDS.index(derive_kind(spec))
+            derived.add(KINDS[least])
+            for t, requested in enumerate(KINDS):
+                if t < least:
+                    with pytest.raises(WhiskerError, match=f"kind={requested}"):
+                        build_whiskered(g, spec, requested)
+                else:
+                    assert build_whiskered(g, spec, requested).kind == requested
+    assert derived == set(KINDS)
+
+
+def test_md_rejects_a_whisker_graph_that_is_not_vd():
+    # Ind(C4) is two disjoint edges, which is not vertex decomposable
+    g = path_graph(["1", "2"])
+    a1 = cycle_graph(["a1.1", "a1.2", "a1.3", "a1.4"])
+    spec = default_spec(g, [("1",), ("2",)], a_graphs={0: a1})
+    assert derive_kind(spec) == "md"
+    with pytest.raises(WhiskerError, match="A1") as err:
+        build_whiskered(g, spec, "md")
+    assert "A2" not in str(err.value)
 
 
 def test_c6_ears_build():
@@ -87,6 +116,63 @@ def test_c8_cc_decomposition_types():
     linked, iso2, derived_type = decompose_link(w, "v8")
     assert derived_type == (3, 1) and linked.type == (3, 1)
     assert sorted(linked.base.vertices) == ["v2", "v3", "v4", "v5", "v6"]
+
+
+def shape(residual, isolated):
+    """The residual's cliques, clusters, whisker sizes and detached pieces."""
+    s = residual.spec
+    return (s.cliques, s.clusters, [len(a) for a in s.whisker_a],
+            [None if b is None else len(b) for b in s.whisker_b],
+            [p.vertices for p in isolated])
+
+
+def test_residual_detaches_a_of_a_deleted_clique():
+    # W1 = {v1} disappears; A1 is not adjacent to v1's removal, so it detaches
+    assert shape(*decompose_delete(fig_odd_even(), "v1")) == (
+        (("v2",), ("v3",), ("v4",), ("v5",), ("v6",)), ((1, 3), (0, 2, 4)),
+        [1, 1, 1, 1, 1], [1, 1], [("a1.1",)])
+
+
+def test_residual_removes_a_with_its_clique():
+    # W4 = {v7, v8} lies in N[v8], and so does A4; W2 loses B2 and stands alone
+    residual, iso, _ = decompose_link(c8_cc(), "v8")
+    assert shape(residual, iso) == (
+        (("v2",), ("v3", "v4"), ("v5", "v6")), ((0, 2), (1,)),
+        [1, 1, 1], [1, None], [])
+
+
+def test_residual_folds_b_into_the_lone_clique():
+    # delete: U1 = {W1, W3, W5} keeps only W5 once v1 and v3 are gone
+    w = decompose_delete(decompose_delete(fig_odd_even(), "v1")[0], "v3")
+    assert shape(*w) == (
+        (("v2",), ("v4",), ("v5",), ("v6",)), ((2,), (0, 1, 3)),
+        [1, 1, 2, 1], [None, 1], [("a3.1",)])
+    assert w[0].kind == "mc"
+    assert w[0].spec.whisker_a[2].vertices == ("a5.1", "b1.1")
+    # link: N[v2] empties W1 and W3, so B1 folds into A5
+    residual, iso, _ = decompose_link(fig_odd_even(), "v2")
+    assert shape(residual, iso) == (
+        (("v4",), ("v5",), ("v6",)), ((1,), (0,), (2,)),
+        [1, 2, 1], [None, None, None], [("a1.1",), ("a3.1",)])
+    assert residual.spec.whisker_a[1].vertices == ("a5.1", "b1.1")
+
+
+def test_residual_detaches_b_of_an_emptied_cluster():
+    # N[2] holds both cliques of U1 = {W1, W3} but not B1
+    g = path_graph(["1", "2", "3"])
+    w = build_whiskered(g, default_spec(g, [("1",), ("2",), ("3",)],
+                                        clusters=[(0, 2), (1,)]), "cc")
+    residual, iso, _ = decompose_link(w, "2")
+    assert shape(residual, iso) == ((), (), [], [],
+                                    [("a1.1",), ("a3.1",), ("b1.1",)])
+
+
+def test_residual_splits_the_cluster_of_a_link_vertex():
+    # B1 is adjacent to v2, so W3's surviving mate stands alone
+    residual, iso, _ = decompose_link(fig_mc(), "v2")
+    assert shape(residual, iso) == (
+        (("v4",), ("v5", "v6")), ((1,), (0,)), [1, 2], [None, None], [])
+    assert residual.kind == "mc"
 
 
 def test_decompositions_reassemble_randomly():
