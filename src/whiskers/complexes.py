@@ -218,8 +218,8 @@ class SimplicialComplex(_MaskFamily):
         if self.is_void:
             raise ComplexError("void complex has no f-vector")
         counts = [0] * (self.dim + 2)
-        for f in self.faces():
-            counts[len(f)] += 1
+        for m in self._face_masks():
+            counts[m.bit_count()] += 1
         return tuple(counts)
 
     def h_vector(self) -> tuple[int, ...]:

@@ -304,7 +304,7 @@ def is_shellable(delta: SimplicialComplex,
 
 def is_unmixed(g: Graph) -> bool:
     """All maximal independent sets (equivalently minimal covers) share one size."""
-    sizes = {len(s) for s in g.maximal_independent_sets()}
+    sizes = {m.bit_count() for m in g._mis_masks()}
     return len(sizes) <= 1
 
 

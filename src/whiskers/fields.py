@@ -12,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+# Characteristics must lie below this.  Primality is tested by trial division
+# up to sqrt(p): about 7 ms for 2^31 - 1, but hours for a prime near 2^61.
+CHARACTERISTIC_BOUND = 1 << 31
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -31,6 +35,8 @@ class FieldSpec:
     p: int | None = 2
 
     def __post_init__(self):
+        if self.p is not None and self.p >= CHARACTERISTIC_BOUND:
+            raise ValueError(f"characteristic must be below 2^31, got {self.p}")
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"characteristic must be prime, got {self.p}")
 

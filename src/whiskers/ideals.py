@@ -3,7 +3,8 @@
 Two independent routes to Betti numbers of cover ideals are provided and
 cross-validated: a homology oracle (Hochster-style sum of reduced homology
 of vertex-subset restrictions) and the structural recursion that splits off
-one base vertex of a whiskered graph at a time.
+one base vertex of a whiskered graph at a time, on vertex masks of the
+build.  The recursion's table does not depend on the field.
 
 Indexing convention: a BettiTable with module="ideal" resolves the ideal I
 itself, so beta_{i,j}(S/I) = beta_{i-1,j}(I) for i >= 1; module="quotient"
@@ -19,10 +20,10 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .complexes import (SimplicialComplex, _homology_masks, _MaskFamily,
-                        _named, _normalise)
+                        _named, _normalise, independence_complex)
 from .fields import GF2, FieldSpec
 from .graph import Graph, ResourceLimit, _by_position, _mask_bits, _mask_tuples
-from .whisker import WhiskeredGraph
+from .whisker import WhiskeredGraph, build_whiskered
 
 DEFAULT_ORACLE_AMBIENT_BOUND = 16
 # No ambient_bound raises the oracle past this many variables: its tables and
@@ -105,12 +106,6 @@ class BettiTable:
         object.__setattr__(self, "entries",
                            {k: v for k, v in self.entries.items() if v})
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BettiTable)
-                and self.field == other.field
-                and self.module == other.module
-                and self.entries == other.entries)
-
     def get(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
@@ -123,19 +118,6 @@ class BettiTable:
         if not self.entries:
             raise IdealError("empty Betti table has no regularity")
         return max(j - i for i, j in self.entries)
-
-    def shifted(self, di: int, dj: int) -> "BettiTable":
-        return BettiTable(self.field,
-                          {(i + di, j + dj): v for (i, j), v in self.entries.items()},
-                          self.module)
-
-    def plus(self, other: "BettiTable") -> "BettiTable":
-        if other.field != self.field or other.module != self.module:
-            raise IdealError("cannot add Betti tables over different fields/conventions")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return BettiTable(self.field, out, self.module)
 
     def as_quotient(self) -> "BettiTable":
         if self.module == "quotient":
@@ -344,35 +326,44 @@ def betti_recursive_cover(w: WhiskeredGraph, k: FieldSpec = GF2) -> BettiTable:
     """Betti table of the cover ideal of a pi/cc/mc whiskered graph by the
     one-vertex splitting recursion.
 
-    Both sides of a split are induced subgraphs of ``w.graph``.  Splitting
-    at the first base vertex u still present in h: the deletion side h - u
-    contributes its cover ideal shifted one degree up; the link side
-    h - N[u] is the smaller cover ideal degree-shifted by deg_h(u) (its
-    generators all carry the removed neighbourhood), contributing at (i, j)
-    and (i-1, j-1).  Once no base vertex is left, every remaining vertex is
-    an isolated whisker vertex (the whisker graphs are edgeless), which lies
-    in no minimal vertex cover, so the leaf is the unit ideal.  Raises
-    ResourceLimit after RECURSION_NODE_BOUND calls.
+    Both sides of a split are induced subgraphs of ``w.graph``, so the
+    recursion runs on their vertex masks over ``w.graph``'s adjacency
+    bitsets.  Splitting at the lowest base vertex u still in h (a build puts
+    its base first, in order): the deletion side h - u contributes its cover
+    ideal shifted one degree up; the link side h - N[u] is the smaller cover
+    ideal degree-shifted by deg_h(u) (its generators all carry the removed
+    neighbourhood), contributing at (i, j) and (i-1, j-1).  Once no base
+    vertex is left, every remaining vertex is an isolated whisker vertex
+    (the whisker graphs are edgeless), which lies in no minimal vertex
+    cover, so the leaf is the unit ideal.  No step depends on the field, so
+    neither does the table; ``k`` only labels it.  Raises ResourceLimit
+    after RECURSION_NODE_BOUND calls.
     """
     if w.kind not in ("pi", "cc", "mc"):
         raise IdealError("recursion requires edgeless whisker graphs (pi/cc/mc)")
-    base = w.base.vertices
+    adj = w.graph._adj
+    base = w.graph._to_mask(w.base.vertices)
     nodes = 0
 
-    def rec(h: Graph) -> BettiTable:
+    def rec(h: int) -> dict[tuple[int, int], int]:
         nonlocal nodes
         nodes += 1
         if nodes > RECURSION_NODE_BOUND:
             raise ResourceLimit(f"{nodes} recursion nodes exceeds the recursion "
                                 f"node bound {RECURSION_NODE_BOUND}")
-        u = next((b for b in base if b in h), None)
-        if u is None:
-            return BettiTable(k, {(0, 0): 1}, "ideal")
-        t_del = rec(h.delete_vertices([u]))
-        t_link = rec(h.delete_closed_neighborhood(u)).shifted(0, h.degree(u))
-        return t_del.shifted(0, 1).plus(t_link).plus(t_link.shifted(1, 1))
+        left = h & base
+        if not left:
+            return {(0, 0): 1}
+        low = left & -left
+        near = adj[low.bit_length() - 1]
+        out = {(i, j + 1): v for (i, j), v in rec(h ^ low).items()}
+        m = (near & h).bit_count()
+        for (i, j), v in rec(h & ~(near | low)).items():
+            for key in ((i, j + m), (i + 1, j + m + 1)):
+                out[key] = out.get(key, 0) + v
+        return out
 
-    return rec(w.graph)
+    return BettiTable(k, rec((1 << len(adj)) - 1), "ideal")
 
 
 # -- closed formula for pi-builds ------------------------------------------------
@@ -391,9 +382,6 @@ class ClosedFormBetti:
 def betti_closed_pi(g: Graph, spec, i: int, k: FieldSpec = GF2) -> ClosedFormBetti:
     """Evaluate the closed-form beta_{i, i+n} of the pi-build's cover ideal
     (n = base vertex count) alongside the oracle; the oracle adjudicates."""
-    from .complexes import independence_complex
-    from .whisker import build_whiskered
-
     wg = build_whiskered(g, spec, "pi")
     ind = independence_complex(g)
     if ind.is_void:

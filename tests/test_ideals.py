@@ -17,9 +17,9 @@ from whiskers import (betti_closed_pi, betti_join, betti_oracle,
                       trivial_spec)
 from whiskers.fields import GF2, QQ, FieldSpec, rank_modp, rank_rational
 from whiskers.ideals import (HOM_CACHE_BOUND, ORACLE_AMBIENT_CEILING,
-                             BettiTable, IdealError, MonomialIdeal,
-                             ResourceLimit, _hom_cache, _subset_masks,
-                             _subset_tables)
+                             RECURSION_NODE_BOUND, BettiTable, IdealError,
+                             MonomialIdeal, ResourceLimit, _hom_cache,
+                             _subset_masks, _subset_tables)
 from whiskers.randinst import random_build, random_graph
 
 from conftest import c6, c6_ears_spec, seeded_graphs
@@ -293,6 +293,25 @@ def _independent_set_sizes(g):
     return counts
 
 
+def _k_polynomial(table):
+    """sum_{i,j} (-1)^i beta_{i,j} t^j over the quotient, as {j: coeff}."""
+    got: dict[int, int] = {}
+    for (i, j), beta in table.as_quotient().entries.items():
+        got[j] = got.get(j, 0) + (-1) ** i * beta
+    return {j: c for j, c in got.items() if c}
+
+
+def _cover_k_polynomial(n, sizes):
+    """1 - sum_s i_s t^(n-s) (1-t)^s, from the independent-set counts i_s
+    of a graph on n vertices, as {j: coeff}."""
+    expected = {0: 1}
+    for s, count in enumerate(sizes):
+        for e in range(s + 1):  # t^(n-s) (1-t)^s, term t^(n-s+e)
+            j = n - s + e
+            expected[j] = expected.get(j, 0) - count * comb(s, e) * (-1) ** e
+    return {j: c for j, c in expected.items() if c}
+
+
 def test_recursion_k_polynomial_past_oracle_bound():
     """J(G) is the Stanley-Reisner ideal of Ind(G)^dual, so the K-polynomial
     of S/J(G) is sum_{i,j} (-1)^i beta_{i,j} t^j
@@ -307,17 +326,27 @@ def test_recursion_k_polynomial_past_oracle_bound():
         if len(w.graph) >= 17:
             builds.append(w)
     for w in builds:
-        n = len(w.graph)
-        expected = {0: 1}
-        for s, count in enumerate(_independent_set_sizes(w.graph)):
-            for e in range(s + 1):  # t^(n-s) (1-t)^s, term t^(n-s+e)
-                j = n - s + e
-                expected[j] = expected.get(j, 0) - count * comb(s, e) * (-1) ** e
-        got: dict[int, int] = {}
-        for (i, j), beta in betti_recursive_cover(w).as_quotient().entries.items():
-            got[j] = got.get(j, 0) + (-1) ** i * beta
-        assert {j: c for j, c in got.items() if c} \
-            == {j: c for j, c in expected.items() if c}, w.graph
+        assert _k_polynomial(betti_recursive_cover(w)) == _cover_k_polynomial(
+            len(w.graph), _independent_set_sizes(w.graph)), w.graph
+
+
+def test_recursion_node_bound_edge():
+    """The pi build of C16 fits in RECURSION_NODE_BOUND calls (4413) and
+    passes the K-polynomial check; the pi build of C17 goes over.  An
+    independent set of size s in the build is one of size t in C16 plus any
+    s - t of the 16 - t whiskers off it, which gives i_s from C16's counts."""
+    c16, c17 = (cycle_graph([f"v{i}" for i in range(n)]) for n in (16, 17))
+    base = _independent_set_sizes(c16)
+    sizes = [sum(base[t] * comb(16 - t, s - t) for t in range(min(s, 16) + 1))
+             for s in range(33)]
+    w = build_whiskered(c16, trivial_spec(c16), "pi")
+    assert _k_polynomial(betti_recursive_cover(w)) \
+        == _cover_k_polynomial(32, sizes)
+    with pytest.raises(ResourceLimit,
+                       match=f"^{RECURSION_NODE_BOUND + 1} recursion nodes "
+                             f"exceeds the recursion node bound "
+                             f"{RECURSION_NODE_BOUND}$"):
+        betti_recursive_cover(build_whiskered(c17, trivial_spec(c17), "pi"))
 
 
 def _face_sizes(n, adj, cover):

@@ -16,6 +16,7 @@ from whiskers import (build_whiskered, cycle_graph, format_complex, format_graph
                       format_partition, graph_to_dot, parse_complex,
                       parse_graph, parse_partition, trivial_spec)
 from whiskers.cli import run
+from whiskers.fields import FieldSpec
 from whiskers.graph import MIS_ENUMERATION_BOUND
 from whiskers.ideals import ORACLE_AMBIENT_CEILING
 from whiskers.io import ParseError
@@ -264,6 +265,23 @@ def test_cli_error_codes(files, capsys):
             f"bound {MIS_ENUMERATION_BOUND}\n"), command
 
 
+def test_cli_betti_rejects_huge_field(files, capsys):
+    """A characteristic past the bound is refused before trial division,
+    which would run for hours on 2^61 - 1 (a prime)."""
+    with pytest.raises(ValueError, match="below 2\\^31"):
+        FieldSpec(2**61 - 1)
+    capsys.readouterr()
+    start = time.perf_counter()
+    code, text = run_cli("betti", "--graph", str(files / "l6.graph"),
+                         "--field", "2305843009213693951")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "whiskers betti: error: argument --field: invalid parse value: "
+        "'2305843009213693951'"]
+
+
 def test_cli_deterministic_output(files):
     args = ("betti", "--graph", str(files / "l6.graph"),
             "--partition", str(files / "oddeven.part"), "--quotient")
@@ -322,6 +340,12 @@ _FLAGS = st.one_of(st.just([]), st.lists(st.sampled_from([
     ["--expect-vd"], ["--kind", "pi"], ["--kind", "cc"], ["--kind", "mc"],
     ["--kind", "md"], ["--kind"], ["--complex"], ["--bogus"], ["-h"]]),
     max_size=2).map(lambda fs: [f for flag in fs for f in flag]))
+_BETTI_FLAGS = st.lists(st.sampled_from([
+    ["--method", "oracle"], ["--method", "recursive"], ["--method", "both"],
+    ["--field", "2"], ["--field", "3"], ["--field", "0"], ["--field", "4"],
+    ["--quotient"], ["--ideal", "edge"], ["--ideal", "cover"],
+    ["--oracle-bound", "3"], ["--oracle-bound", "40"]]),
+    max_size=4).map(lambda fs: [f for flag in fs for f in flag])
 
 
 def _join(draw, lines):
@@ -355,18 +379,28 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(texts=_build_texts(), cx=_complex_text(),
-       command=st.integers(0, 2), flags=_FLAGS)
-def test_cli_run_fuzz(fuzz_dir, texts, cx, command, flags):
+@given(texts=_build_texts(), cx=_complex_text(), command=st.integers(0, 10),
+       flags=_FLAGS, betti_flags=_BETTI_FLAGS)
+def test_cli_run_fuzz(fuzz_dir, texts, cx, command, flags, betti_flags):
     """Complex, graph and partition text with random flags: every run ends
-    with exit 0, 1, 2 or 3 and raises nothing."""
+    with exit 0, 1, 2 or 3 and raises nothing, and betti --method both never
+    finds the oracle and the recursion apart (exit 1)."""
     graph, part = texts
     paths = {}
     for name, text in (("g.graph", graph), ("p.part", part), ("c.cx", cx)):
         (fuzz_dir / name).write_text(text, encoding="utf-8")
         paths[name] = str(fuzz_dir / name)
-    build = ["--graph", paths["g.graph"], "--partition", paths["p.part"]]
+    alone = ["--graph", paths["g.graph"]]
+    build = [*alone, "--partition", paths["p.part"]]
     argv = [["check-vd", "--complex", paths["c.cx"]], ["build", *build],
-            ["check-vd", *build]][command] + flags
+            ["check-vd", *build], ["betti", *build], ["betti", *alone],
+            ["facets", *build], ["facets", *alone], ["poset", *build],
+            ["poset", *alone], ["export-dot", *build],
+            ["export-dot", *alone]][command] + flags
+    if argv[0] == "betti":
+        argv += betti_flags
     code, _ = run_cli(*argv)
     assert code in (0, 1, 2, 3), argv
+    methods = [argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--method"]
+    if argv[0] == "betti" and methods[-1:] == ["both"]:
+        assert code != 1, argv
