@@ -146,10 +146,18 @@ def cmd_export_dot(args, out) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line, without the usage block before it;
+    subparsers are made of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The parser, built once and shared; parsing leaves no state in it."""
-    ap = argparse.ArgumentParser(prog="whiskers")
+    ap = _Parser(prog="whiskers")
     sub = ap.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("build", help="build a whiskered graph and print it")

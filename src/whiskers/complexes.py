@@ -123,10 +123,6 @@ class SimplicialComplex(_MaskFamily):
         return self.facets == (frozenset(),)
 
     @property
-    def is_simplex(self) -> bool:
-        return len(self.facets) == 1
-
-    @property
     def dim(self) -> int:
         if self.is_void:
             raise ComplexError("void complex has no dimension")
@@ -174,8 +170,7 @@ class SimplicialComplex(_MaskFamily):
     def deletion(self, h: Iterable[str]) -> "SimplicialComplex":
         hs = frozenset(h)
         amb = tuple(v for v in self.ambient if v not in hs)
-        return SimplicialComplex(amb, [f - hs for f in self.facets if not f & hs]
-                                 + [f - hs for f in self.facets if f & hs])
+        return SimplicialComplex(amb, [f - hs for f in self.facets])
 
     def link(self, h: Iterable[str]) -> "SimplicialComplex":
         hs = frozenset(h)

@@ -17,10 +17,11 @@ subcomplex's labels, so the labels fix which certificate is found.  The
 labels at the top are the names' string order.  Below it, a child's labels
 are its support in the order of the parent's labels as decimal strings
 (0, 1, 10, 11, ..., 2, ...); under ten labels that is the numeric order.
-``shedding_vertices`` needs verdicts only: it breaks ties by bit, and any
-tree in its memo answers for its facet set.  ``is_vertex_decomposable``
-searches a subcomplex again when the memo holds a tree for it, because that
-tree may follow other labels, and puts names on the tree once, at the end.
+``shedding_vertices`` and ``is_vd_graph`` need verdicts only: they break
+ties by bit, and any tree in their memo answers for its facet set.
+``is_vertex_decomposable`` searches a subcomplex again when the memo holds
+a tree for it, because that tree may follow other labels, and puts names on
+the tree once, at the end.
 
 A refutation is the input complex itself.  A failed subcomplex only sends
 its parent on to the next trial vertex, so the search is stuck exactly when
@@ -37,7 +38,7 @@ from functools import cache
 from itertools import combinations
 from typing import Collection
 
-from .complexes import ComplexError, SimplicialComplex, independence_complex
+from .complexes import ComplexError, SimplicialComplex
 from .fields import GF2, FieldSpec
 from .graph import Graph, ResourceLimit, _by_position
 
@@ -195,8 +196,10 @@ def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
 
 
 def is_vd_graph(g: Graph) -> bool:
-    """VD of a graph = VD of its independence complex."""
-    return is_vertex_decomposable(independence_complex(g)).decomposable
+    """VD of a graph = VD of its independence complex, whose facets are the
+    maximal independent sets.  Only the verdict is searched for, so bits go
+    by vertex position and no certificate is built or named."""
+    return _search(g._mis_masks(), None, {}) is not False
 
 
 def verify_certificate(delta: SimplicialComplex, cert: VDCertificate) -> bool:

@@ -167,11 +167,6 @@ class Graph:
     def induce(self, vs: Iterable[str]) -> "Graph":
         return self._induce_mask(self._to_mask(vs))
 
-    def delete_closed_neighborhood(self, v: str) -> "Graph":
-        i = self._require(v)
-        keep = ((1 << len(self.vertices)) - 1) & ~(self._adj[i] | (1 << i))
-        return self._induce_mask(keep)
-
     def complement(self) -> "Graph":
         full = (1 << len(self.vertices)) - 1
         g = Graph(self.vertices)

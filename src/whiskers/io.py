@@ -9,6 +9,11 @@ Partition files:  `clique W1: v1 v2`, `cluster U1: W1 W3`,
                   `whiskerA W1: size=2 edges=(1-2)`,
                   `whiskerB U1: size=2 edges=()` (edges use 1-based local
                   indices into the whisker's vertices).
+
+Graph and complex files share one scanner of `vertex` lines and body lines.
+A partition file fills one declaration table (keyword -> name -> line) that
+keeps file order, and one resolver gives each A and B its declared whisker,
+else one vertex.
 """
 
 from __future__ import annotations
@@ -31,21 +36,28 @@ def _lines(text: str):
             yield lineno, line
 
 
-# -- graphs --------------------------------------------------------------------
-
-def parse_graph(text: str) -> Graph:
-    vertices: dict[str, None] = {}  # in order of first mention
-    edges: list[tuple[str, str]] = []
+def _scan(text: str, keyword: str, arity: int | None, form: str):
+    """(names in order of first mention, name lists of the ``keyword``
+    lines) of a file of `vertex <name>` lines and ``keyword`` lines naming
+    ``arity`` vertices, or any number when ``arity`` is None."""
+    names: dict[str, None] = {}
+    bodies: list[list[str]] = []
     for lineno, line in _lines(text):
         parts = line.split()
         if parts[0] == "vertex" and len(parts) == 2:
-            vertices.setdefault(parts[1])
-        elif parts[0] == "edge" and len(parts) == 3:
-            vertices.update(dict.fromkeys(parts[1:]))
-            edges.append((parts[1], parts[2]))
+            names.setdefault(parts[1])
+        elif parts[0] == keyword and arity in (None, len(parts) - 1):
+            names.update(dict.fromkeys(parts[1:]))
+            bodies.append(parts[1:])
         else:
-            raise ParseError(f"line {lineno}: expected 'vertex <name>' or 'edge <u> <v>'")
-    return Graph(vertices, edges)
+            raise ParseError(f"line {lineno}: expected 'vertex <name>' or '{form}'")
+    return names, bodies
+
+
+# -- graphs --------------------------------------------------------------------
+
+def parse_graph(text: str) -> Graph:
+    return Graph(*_scan(text, "edge", 2, "edge <u> <v>"))
 
 
 def format_graph(g: Graph) -> str:
@@ -59,18 +71,7 @@ def format_graph(g: Graph) -> str:
 # -- complexes -------------------------------------------------------------------
 
 def parse_complex(text: str) -> SimplicialComplex:
-    ambient: dict[str, None] = {}  # in order of first mention
-    facets: list[tuple[str, ...]] = []
-    for lineno, line in _lines(text):
-        parts = line.split()
-        if parts[0] == "vertex" and len(parts) == 2:
-            ambient.setdefault(parts[1])
-        elif parts[0] == "facet":
-            ambient.update(dict.fromkeys(parts[1:]))
-            facets.append(tuple(parts[1:]))
-        else:
-            raise ParseError(f"line {lineno}: expected 'vertex <name>' or 'facet v1 v2 ...'")
-    return SimplicialComplex(ambient, facets)
+    return SimplicialComplex(*_scan(text, "facet", None, "facet v1 v2 ..."))
 
 
 def format_complex(c: SimplicialComplex) -> str:
@@ -110,87 +111,58 @@ def _parse_whisker(lineno: int, rest: str, prefix: str) -> Graph:
     return Graph(names, edges)
 
 
-def parse_partition(text: str, g: Graph) -> PartitionSpec:
-    clique_names: list[str] = []
-    cliques: dict[str, tuple[str, ...]] = {}
-    cluster_names: list[str] = []
-    clusters: dict[str, list[str]] = {}
-    whisker_a_raw: dict[str, tuple[int, str]] = {}
-    whisker_b_raw: dict[str, tuple[int, str]] = {}
+def _whisker(raw: dict[str, tuple[int, str]], name: str, prefix: str) -> Graph:
+    """Pop and parse the whisker declared for ``name``, or else one vertex."""
+    if name in raw:
+        return _parse_whisker(*raw.pop(name), prefix)
+    return edgeless_graph([f"{prefix}.1"])
 
+
+def parse_partition(text: str, g: Graph) -> PartitionSpec:
+    # keyword -> name -> (line number, text after the colon), in file order
+    decl: dict[str, dict[str, tuple[int, str]]] = {
+        "clique": {}, "cluster": {}, "whiskerA": {}, "whiskerB": {}}
     for lineno, line in _lines(text):
         head, _, rest = line.partition(":")
         parts = head.split()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected '<keyword> <name>: ...'")
         kw, name = parts
-        if kw == "clique":
-            if name in cliques:
-                raise ParseError(f"line {lineno}: duplicate clique {name}")
-            clique_names.append(name)
-            cliques[name] = tuple(rest.split())
-        elif kw == "cluster":
-            if name in clusters:
-                raise ParseError(f"line {lineno}: duplicate cluster {name}")
-            cluster_names.append(name)
-            clusters[name] = rest.split()
-        elif kw == "whiskerA":
-            if name in whisker_a_raw:
-                raise ParseError(f"line {lineno}: duplicate whiskerA {name}")
-            whisker_a_raw[name] = (lineno, rest)
-        elif kw == "whiskerB":
-            if name in whisker_b_raw:
-                raise ParseError(f"line {lineno}: duplicate whiskerB {name}")
-            whisker_b_raw[name] = (lineno, rest)
-        else:
+        table = decl.get(kw)
+        if table is None:
             raise ParseError(f"line {lineno}: unknown keyword {kw!r}")
+        if name in table:
+            raise ParseError(f"line {lineno}: duplicate {kw} {name}")
+        table[name] = (lineno, rest)
 
-    index = {name: i for i, name in enumerate(clique_names)}
+    index = {name: i for i, name in enumerate(decl["clique"])}
     in_cluster: set[str] = set()
-    cluster_list: list[tuple[int, ...]] = []
-    cluster_name_of: list[str] = []
-    for cname in cluster_names:
-        members = clusters[cname]
+    # (name, clique indices); not a dict, since an unmentioned clique's
+    # singleton cluster takes the clique's name, which a cluster may share
+    clusters: list[tuple[str, tuple[int, ...]]] = []
+    for cname, (_, rest) in decl["cluster"].items():
+        members = rest.split()
         for w in members:
             if w not in index:
                 raise ParseError(f"cluster {cname} references unknown clique {w}")
             if w in in_cluster:
                 raise ParseError(f"clique {w} appears in more than one cluster")
             in_cluster.add(w)
-        cluster_list.append(tuple(sorted(index[w] for w in members)))
-        cluster_name_of.append(cname)
-    for wname in clique_names:  # unmentioned cliques become singleton clusters
-        if wname not in in_cluster:
-            cluster_list.append((index[wname],))
-            cluster_name_of.append(wname)
+        clusters.append((cname, tuple(sorted(index[w] for w in members))))
+    clusters += [(w, (i,)) for w, i in index.items() if w not in in_cluster]
 
-    whisker_a = []
-    for i, wname in enumerate(clique_names):
-        if wname in whisker_a_raw:
-            lineno, rest = whisker_a_raw.pop(wname)
-            whisker_a.append(_parse_whisker(lineno, rest, f"a{i + 1}"))
-        else:
-            whisker_a.append(edgeless_graph([f"a{i + 1}.1"]))
-    if whisker_a_raw:
-        raise ParseError(f"whiskerA for unknown clique {sorted(whisker_a_raw)[0]}")
-
-    whisker_b: list[Graph | None] = []
-    for j, members in enumerate(cluster_list):
-        if len(members) <= 1:
-            whisker_b.append(None)
-            continue
-        cname = cluster_name_of[j]
-        if cname in whisker_b_raw:
-            lineno, rest = whisker_b_raw.pop(cname)
-            whisker_b.append(_parse_whisker(lineno, rest, f"b{j + 1}"))
-        else:
-            whisker_b.append(edgeless_graph([f"b{j + 1}.1"]))
-    if whisker_b_raw:
+    raw_a, raw_b = decl["whiskerA"], decl["whiskerB"]
+    whisker_a = tuple(_whisker(raw_a, w, f"a{i + 1}") for w, i in index.items())
+    if raw_a:
+        raise ParseError(f"whiskerA for unknown clique {sorted(raw_a)[0]}")
+    whisker_b = tuple(_whisker(raw_b, cname, f"b{j + 1}") if len(members) > 1 else None
+                      for j, (cname, members) in enumerate(clusters))
+    if raw_b:
         raise ParseError(f"whiskerB for unknown or single-clique cluster "
-                         f"{sorted(whisker_b_raw)[0]}")
+                         f"{sorted(raw_b)[0]}")
 
-    return PartitionSpec(tuple(cliques[w] for w in clique_names),
-                         tuple(cluster_list), tuple(whisker_a), tuple(whisker_b))
+    return PartitionSpec(tuple(tuple(rest.split()) for _, rest in decl["clique"].values()),
+                         tuple(members for _, members in clusters), whisker_a, whisker_b)
 
 
 def format_partition(spec: PartitionSpec) -> str:

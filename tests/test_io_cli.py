@@ -21,6 +21,7 @@ from whiskers.graph import MIS_ENUMERATION_BOUND
 from whiskers.ideals import ORACLE_AMBIENT_CEILING
 from whiskers.io import ParseError
 from whiskers.randinst import random_complex_facets, random_instance
+from whiskers.whisker import KINDS
 
 from conftest import c6
 
@@ -99,6 +100,43 @@ def test_partition_whisker_edges():
     wa = spec.whisker_a[0]
     assert wa.vertices == ("a1.1", "a1.2", "a1.3")
     assert wa.has_edge("a1.1", "a1.2") and not wa.has_edge("a1.1", "a1.3")
+
+
+# (text, exact ParseError message), one case per partition rule
+_PARTITION_ERRORS = [
+    (EARS_TEXT + "clique W1: v1\n", "line 4: duplicate clique W1"),
+    (ODD_EVEN_TEXT + "cluster U1: W2\n", "line 9: duplicate cluster U1"),
+    (EARS_TEXT + "whiskerA W2: size=1 edges=()\nwhiskerA W2: size=2 edges=()\n",
+     "line 5: duplicate whiskerA W2"),
+    (ODD_EVEN_TEXT + "whiskerB U2: size=1 edges=()\nwhiskerB U2: size=2 edges=()\n",
+     "line 10: duplicate whiskerB U2"),
+    ("clique W1: a\nwhisker W1: size=1 edges=()\n", "line 2: unknown keyword 'whisker'"),
+    ("clique W1: a\nclique W2 b\n", "line 2: expected '<keyword> <name>: ...'"),
+    ("clique W1: a\ncluster U1: W1 W9\n", "cluster U1 references unknown clique W9"),
+    ("clique W1: a\nclique W2: b\ncluster U1: W1\ncluster U2: W2 W1\n",
+     "clique W1 appears in more than one cluster"),
+    ("clique W1: a\nwhiskerA W7: size=1 edges=()\n", "whiskerA for unknown clique W7"),
+    (EARS_TEXT + "whiskerB W1: size=1 edges=()\n",
+     "whiskerB for unknown or single-clique cluster W1"),
+    (EARS_TEXT + "whiskerA W1: size=0 edges=()\n", "line 4: whisker size must be >= 1"),
+    (EARS_TEXT + "whiskerA W3: size=2 edges=(1-3)\n",
+     "line 4: edge index out of range in '1-3'"),
+]
+
+
+def test_partition_parse_errors_and_name_collision():
+    g = c6()
+    for text, message in _PARTITION_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            parse_partition(text, g)
+        assert str(exc.value) == message
+    # W1's singleton cluster keeps the name W1 next to the cluster W1
+    spec = parse_partition("clique W1: a\nclique W2: b\nclique W3: c\n"
+                           "cluster W1: W2 W3\nwhiskerB W1: size=2 edges=()\n",
+                           parse_graph("vertex a\nedge b c\n"))
+    assert spec.clusters == ((1, 2), (0,))
+    assert spec.whisker_b[0].vertices == ("b1.1", "b1.2")
+    assert spec.whisker_b[1] is None
 
 
 def test_dot_export():
@@ -282,6 +320,18 @@ def test_cli_betti_rejects_huge_field(files, capsys):
         "'2305843009213693951'"]
 
 
+def test_cli_usage_errors_are_one_line(files, capsys):
+    """argparse's usage errors print their error line and no usage block."""
+    l6 = str(files / "l6.graph")
+    for argv in (["betti", "--graph", l6, "--field", "4"], ["no-such-command"],
+                 [], ["build", "--graph", "x"]):
+        capsys.readouterr()
+        code, text = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2 and text == "", argv
+        assert len(err.splitlines()) == 1 and ": error: " in err, argv
+
+
 def test_cli_deterministic_output(files):
     args = ("betti", "--graph", str(files / "l6.graph"),
             "--partition", str(files / "oddeven.part"), "--quotient")
@@ -362,10 +412,17 @@ def _complex_text(draw):
 
 @st.composite
 def _build_texts(draw):
-    """Graph and partition text.  Two partitions in three start with one
-    clique per named vertex, so that many builds get past validation."""
+    """Graph and partition text.  One pair in four is a valid seeded
+    instance of a drawn kind, so that betti --method both gets to compare;
+    of the others, two partitions in three start with one clique per named
+    vertex, so that many builds get past validation."""
+    mode = draw(st.integers(0, 3))
+    if mode == 3:
+        g, spec = random_instance(random.Random(draw(st.integers(0, 2**16))),
+                                  draw(st.sampled_from(KINDS)),
+                                  max_base=6, max_total=10)
+        return format_graph(g), format_partition(spec)
     lines = draw(st.lists(_GRAPH_LINE, min_size=1, max_size=12))
-    mode = draw(st.integers(0, 2))
     part = draw(st.lists(_PARTITION_LINE, max_size=12)) if mode != 1 else []
     if mode:
         names = sorted({v for line in lines for v in line.split()[1:]})
@@ -379,7 +436,7 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(texts=_build_texts(), cx=_complex_text(), command=st.integers(0, 10),
+@given(texts=_build_texts(), cx=_complex_text(), command=st.integers(0, 11),
        flags=_FLAGS, betti_flags=_BETTI_FLAGS)
 def test_cli_run_fuzz(fuzz_dir, texts, cx, command, flags, betti_flags):
     """Complex, graph and partition text with random flags: every run ends
@@ -396,9 +453,11 @@ def test_cli_run_fuzz(fuzz_dir, texts, cx, command, flags, betti_flags):
             ["check-vd", *build], ["betti", *build], ["betti", *alone],
             ["facets", *build], ["facets", *alone], ["poset", *build],
             ["poset", *alone], ["export-dot", *build],
-            ["export-dot", *alone]][command] + flags
+            ["export-dot", *alone], ["betti", *build]][command] + flags
     if argv[0] == "betti":
         argv += betti_flags
+    if command == 11:  # the last command always ends in the cross-check
+        argv += ["--method", "both"]
     code, _ = run_cli(*argv)
     assert code in (0, 1, 2, 3), argv
     methods = [argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--method"]
