@@ -76,9 +76,10 @@ def cmd_check_vd(args, out) -> int:
 def cmd_facets(args, out) -> int:
     _, w = _load(args)
     c = independence_complex(w.graph)
-    for f in c.facet_tuples():
+    facets = c.facet_tuples()
+    for f in facets:
         out.write("facet " + " ".join(f) + "\n")
-    out.write(f"{len(c.facets)} facets\n")
+    out.write(f"{len(facets)} facets\n")
     if w.kind == "pi":
         try:
             count = count_facets_pi(w.base, w.spec)

@@ -7,6 +7,7 @@ facets) and the irrelevant complex (single empty facet) are distinct values.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
@@ -48,7 +49,7 @@ def _maximal(masks: list[int]) -> list[int]:
 
 def _normalise(ambient: Iterable[str], sets: Iterable[Iterable[str]],
                error: type[ValueError], noun: str,
-               minimal: bool = False) -> tuple[tuple[str, ...], list[int]]:
+               minimal: bool = False) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The ambient tuple and the antichain of a set family as position masks.
 
     Keeps the inclusion-maximal sets, or with ``minimal`` the minimal ones
@@ -67,7 +68,7 @@ def _normalise(ambient: Iterable[str], sets: Iterable[Iterable[str]],
     bit = {v: 1 << i for v, i in pos.items()}
     masks = [sum(map(bit.__getitem__, f)) for f in fs]
     flip = (1 << len(amb)) - 1 if minimal else 0
-    return amb, _by_position(masks[i] for i in _maximal([flip ^ m for m in masks]))
+    return amb, tuple(_by_position(masks[i] for i in _maximal([flip ^ m for m in masks])))
 
 
 def _named(ambient: tuple[str, ...], masks: Iterable[int]) -> tuple[frozenset[str], ...]:
@@ -75,19 +76,18 @@ def _named(ambient: tuple[str, ...], masks: Iterable[int]) -> tuple[frozenset[st
 
 
 class _MaskFamily:
-    """An antichain of subsets of ``ambient`` kept as position masks in
-    ``_masks``, in ``_by_position`` order; equality and hashing read them.
-    A subclass's ``_fill`` sets them and the same sets as frozensets of
-    names."""
+    """An antichain of subsets of ``ambient``, stored only as position masks
+    in ``_masks``, in ``_by_position`` order; equality and hashing read
+    them.  Names are built from the masks when a caller asks for them."""
 
     __slots__ = ("ambient", "_masks")
 
     @classmethod
-    def _from_masks(cls, ambient: tuple[str, ...], masks: list[int]):
+    def _from_masks(cls, ambient: tuple[str, ...], masks: Iterable[int]):
         """The family of ``masks``, already an antichain over ``ambient`` in
         ``_by_position`` order, so names are never turned into bits."""
         family = cls.__new__(cls)
-        family._fill(ambient, masks)
+        family.ambient, family._masks = ambient, tuple(masks)
         return family
 
     def __eq__(self, other) -> bool:
@@ -99,43 +99,42 @@ class _MaskFamily:
 
 
 class SimplicialComplex(_MaskFamily):
-    """Facets are kept as frozensets of names in ``facets`` and as position
-    masks over ``ambient`` in ``_masks``, both in position order."""
+    """Facets are stored as position masks over ``ambient`` in ``_masks``;
+    ``facets`` names them on each read, in the same position order."""
 
-    __slots__ = ("facets",)
+    __slots__ = ()
 
     def __init__(self, ambient: Iterable[str], facets: Iterable[Iterable[str]]):
-        self._fill(*_normalise(ambient, facets, ComplexError, "facet"))
+        self.ambient, self._masks = _normalise(ambient, facets, ComplexError, "facet")
 
-    def _fill(self, ambient: tuple[str, ...], masks: list[int]) -> None:
-        self.ambient = ambient
-        self._masks = tuple(masks)
-        self.facets = _named(ambient, masks)
+    @property
+    def facets(self) -> tuple[frozenset[str], ...]:
+        return _named(self.ambient, self._masks)
 
     # -- basics --------------------------------------------------------------
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self._masks
 
     @property
     def is_irrelevant(self) -> bool:
-        return self.facets == (frozenset(),)
+        return self._masks == (0,)
 
     @property
     def dim(self) -> int:
         if self.is_void:
             raise ComplexError("void complex has no dimension")
-        return max(len(f) for f in self.facets) - 1
+        return max(m.bit_count() for m in self._masks) - 1
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex(ambient={len(self.ambient)}, facets={len(self.facets)})"
+        return f"SimplicialComplex(ambient={len(self.ambient)}, facets={len(self._masks)})"
 
     def facet_tuples(self) -> list[tuple[str, ...]]:
         return _mask_tuples(self.ambient, self._masks)
 
     def support(self) -> frozenset[str]:
-        return frozenset().union(*self.facets)
+        return _named(self.ambient, [reduce(int.__or__, self._masks, 0)])[0]
 
     def faces(self) -> set[frozenset[str]]:
         return set(_named(self.ambient, self._face_masks()))
@@ -174,10 +173,11 @@ class SimplicialComplex(_MaskFamily):
 
     def link(self, h: Iterable[str]) -> "SimplicialComplex":
         hs = frozenset(h)
-        if not self.has_face(hs):
+        facets = [f - hs for f in self.facets if hs <= f]
+        if not facets:
             raise ComplexError(f"{sorted(hs)} is not a face; link undefined")
         amb = tuple(v for v in self.ambient if v not in hs)
-        return SimplicialComplex(amb, [f - hs for f in self.facets if hs <= f])
+        return SimplicialComplex(amb, facets)
 
     def deletion_and_link(self, h: Iterable[str]) -> tuple["SimplicialComplex", "SimplicialComplex"]:
         return self.deletion(h), self.link(h)
@@ -234,7 +234,7 @@ class SimplicialComplex(_MaskFamily):
         """(min facet dim, max facet dim); pure iff the two agree."""
         if self.is_void:
             raise ComplexError("void complex has no purity range")
-        sizes = [len(f) for f in self.facets]
+        sizes = [m.bit_count() for m in self._masks]
         return min(sizes) - 1, max(sizes) - 1
 
     @property

@@ -1,27 +1,27 @@
 """Vertex decomposability certificates, shedding vertices, shellability,
 unmixedness, and the componentwise-linear-dual criterion.
 
-The decomposability search keeps every subcomplex as int bitmasks over the
-input's own vertex bits, numbered once in the string order of the names, and
-never renumbers them.  Its memo is keyed by the facet set with its cone
-points (the vertices in every facet) removed, and lives for one top-level
-call, so a long-lived process keeps none of it.  The key is exact because a
-cone x*G is vertex decomposable exactly when G is (Provan-Billera), so a
-cone and its base share one verdict.  A ``False`` there holds on every
-path, because vertex decomposability does not depend on the trial order; a
-tree there only says "yes", and the search still expands the facets as
-given, so a certificate never comes from another complex's entry.
+The decomposability search starts from the complex's own ``_masks`` and
+keeps every subcomplex as int bitmasks over those position bits, never
+renumbered.  Its memo is keyed by the facet set with its cone points (the
+vertices in every facet) removed, and lives for one top-level call, so a
+long-lived process keeps none of it.  The key is exact because a cone x*G
+is vertex decomposable exactly when G is (Provan-Billera), so a cone and
+its base share one verdict.  A ``False`` there holds on every path, because
+vertex decomposability does not depend on the trial order; a tree there
+only says "yes", and the search still expands the facets as given, so a
+certificate never comes from another complex's entry.
 
 The trial order is descending degree in the 1-skeleton, ties broken by each
 subcomplex's labels, so the labels fix which certificate is found.  The
-labels at the top are the names' string order.  Below it, a child's labels
-are its support in the order of the parent's labels as decimal strings
-(0, 1, 10, 11, ..., 2, ...); under ten labels that is the numeric order.
-``shedding_vertices`` and ``is_vd_graph`` need verdicts only: they break
-ties by bit, and any tree in their memo answers for its facet set.
-``is_vertex_decomposable`` searches a subcomplex again when the memo holds
-a tree for it, because that tree may follow other labels, and puts names on
-the tree once, at the end.
+top labels are the support's bits in the string order of their names.
+Below it, a child's labels are its support in the order of the parent's
+labels as decimal strings (0, 1, 10, 11, ..., 2, ...); under ten labels
+that is the numeric order.  ``shedding_vertices`` and ``is_vd_graph`` need
+verdicts only: they break ties by bit, and any tree in their memo answers
+for its facet set.  ``is_vertex_decomposable`` searches a subcomplex again
+when the memo holds a tree for it, because that tree may follow other
+labels, and puts names on the tree once, at the end.
 
 A refutation is the input complex itself.  A failed subcomplex only sends
 its parent on to the next trial vertex, so the search is stuck exactly when
@@ -34,13 +34,13 @@ independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 from typing import Collection
 
 from .complexes import ComplexError, SimplicialComplex
 from .fields import GF2, FieldSpec
-from .graph import Graph, ResourceLimit, _by_position
+from .graph import Graph, ResourceLimit, _by_position, _mask_bits
 
 DEFAULT_SHELLING_FACET_BOUND = 12
 DEFAULT_SCM_AMBIENT_BOUND = 14
@@ -165,11 +165,10 @@ def _search(facets: Collection[int], order: list[int] | None,
     return tree
 
 
-def _facet_masks(delta: SimplicialComplex) -> tuple[list[int], list]:
-    """The facets as bitmasks over the support, numbered in string order."""
-    names = sorted({v for f in delta.facets for v in f}, key=str)
-    bit = {v: 1 << i for i, v in enumerate(names)}
-    return [sum(bit[v] for v in f) for f in delta.facets], names
+def _top_order(delta: SimplicialComplex) -> list[int]:
+    """The support's position bits, in the string order of their names."""
+    bits = _mask_bits(reduce(int.__or__, delta._masks, 0))
+    return [1 << i for i in sorted(bits, key=lambda i: str(delta.ambient[i]))]
 
 
 def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
@@ -179,14 +178,13 @@ def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
     """
     if delta.is_void:
         raise ComplexError("void complex: vertex decomposability undefined")
-    facets, names = _facet_masks(delta)
-    tree = _search(facets, [1 << i for i in range(len(names))], {})
+    tree = _search(delta._masks, _top_order(delta), {})
     if tree is not False:
 
         def named(node: Tree) -> Tree:
             if node[0] == "simplex":
                 return node
-            return ("shed", names[node[1].bit_length() - 1],
+            return ("shed", delta.ambient[node[1].bit_length() - 1],
                     named(node[2]), named(node[3]))
 
         return VDCertificate(True, tree=named(tree))
@@ -242,16 +240,15 @@ def shedding_vertices(delta: SimplicialComplex, weak: bool = False) -> list[str]
     (beta) only."""
     if delta.is_void:
         raise ComplexError("void complex has no shedding vertices")
-    facets, names = _facet_masks(delta)
     memo: dict[frozenset[int], Tree | bool] = {}
     out = []
-    for i, x in enumerate(names):
-        split = _split_masks(facets, 1 << i)
+    for x in _top_order(delta):
+        split = _split_masks(delta._masks, x)
         if split is None:
             continue
         if weak or (_search(split[0], None, memo) is not False
                     and _search(split[1], None, memo) is not False):
-            out.append(x)
+            out.append(delta.ambient[x.bit_length() - 1])
     return out
 
 

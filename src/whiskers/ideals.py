@@ -43,33 +43,32 @@ class MonomialIdeal(_MaskFamily):
     """Squarefree monomial ideal: an antichain of vertex subsets over an
     explicit ambient vertex set.  The unit ideal is the single generator
     empty-set; the zero ideal has no generators.  Like a complex's facets,
-    the minimal generators are kept as frozensets of names and as position
-    masks in ``_masks``."""
+    the minimal generators are stored only as position masks in ``_masks``;
+    ``generators`` names them on each read."""
 
-    __slots__ = ("generators",)
+    __slots__ = ()
 
     def __init__(self, ambient: Iterable[str], generators: Iterable[Iterable[str]]):
-        self._fill(*_normalise(ambient, generators, IdealError, "generator",
-                               minimal=True))
+        self.ambient, self._masks = _normalise(ambient, generators, IdealError,
+                                               "generator", minimal=True)
 
-    def _fill(self, ambient: tuple[str, ...], masks: list[int]) -> None:
-        self.ambient = ambient
-        self._masks = tuple(masks)
-        self.generators = _named(ambient, masks)
+    @property
+    def generators(self) -> tuple[frozenset[str], ...]:
+        return _named(self.ambient, self._masks)
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self._masks
 
     @property
     def is_unit(self) -> bool:
-        return self.generators == (frozenset(),)
+        return self._masks == (0,)
 
     def generator_tuples(self) -> list[tuple[str, ...]]:
         return _mask_tuples(self.ambient, self._masks)
 
     def __repr__(self) -> str:
-        return f"MonomialIdeal({len(self.ambient)} vars, {len(self.generators)} gens)"
+        return f"MonomialIdeal({len(self.ambient)} vars, {len(self._masks)} gens)"
 
 
 def ideal_of(source, kind: str) -> MonomialIdeal:

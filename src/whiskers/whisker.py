@@ -222,7 +222,7 @@ def build_whiskered(g: Graph, spec: PartitionSpec, kind: str) -> WhiskeredGraph:
         raise WhiskerError(f"unknown kind {kind!r}")
     bad = validate_partitions(g, spec) + _check_kind(spec, kind)
     if bad:
-        raise WhiskerError("invalid partition spec:\n  " + "\n  ".join(bad))
+        raise WhiskerError("invalid partition spec: " + "; ".join(bad))
 
     # each whisker graph with the base vertices its vertices are joined to
     pieces = [(a, spec.cliques[i]) for i, a in enumerate(spec.whisker_a)]

@@ -21,6 +21,16 @@ def brute_independent_subsets(g):
             for c in combinations(g.vertices, k) if g.is_independent(c)]
 
 
+def brute_minimal_covers(g):
+    """The vertex subsets that meet every edge and lose that property when
+    any one of their vertices is dropped."""
+    edges = g.edges
+    covers = {frozenset(c) for k in range(len(g.vertices) + 1)
+              for c in combinations(g.vertices, k)
+              if not any(e.isdisjoint(c) for e in edges)}
+    return [c for c in covers if not any(c - {v} in covers for v in c)]
+
+
 def brute_chordal(g):
     for k in range(4, len(g.vertices) + 1):
         for sub in combinations(g.vertices, k):
@@ -165,9 +175,7 @@ def test_mis_and_count_match_brute_force(g):
 @settings(max_examples=60, deadline=None)
 @given(graphs(8))
 def test_cover_bijection(g):
-    full = set(g.vertices)
-    mis = g.maximal_independent_sets()
-    assert g.minimal_vertex_covers() == g.sort_sets([full - set(s) for s in mis])
+    assert g.minimal_vertex_covers() == g.sort_sets(brute_minimal_covers(g))
 
 
 def test_chordality_examples():

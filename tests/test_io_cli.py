@@ -1,5 +1,6 @@
 """File formats, DOT export, and the command-line interface."""
 
+import contextlib
 import io
 import os
 import random
@@ -436,12 +437,13 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(texts=_build_texts(), cx=_complex_text(), command=st.integers(0, 11),
-       flags=_FLAGS, betti_flags=_BETTI_FLAGS)
+@given(texts=_build_texts(), cx=_complex_text(),
+       command=st.sampled_from(range(12)), flags=_FLAGS, betti_flags=_BETTI_FLAGS)
 def test_cli_run_fuzz(fuzz_dir, texts, cx, command, flags, betti_flags):
     """Complex, graph and partition text with random flags: every run ends
-    with exit 0, 1, 2 or 3 and raises nothing, and betti --method both never
-    finds the oracle and the recursion apart (exit 1)."""
+    with exit 0, 1, 2 or 3 and raises nothing, a run that exits 2 or 3
+    writes one stderr line, and betti --method both never finds the oracle
+    and the recursion apart (exit 1)."""
     graph, part = texts
     paths = {}
     for name, text in (("g.graph", graph), ("p.part", part), ("c.cx", cx)):
@@ -458,8 +460,12 @@ def test_cli_run_fuzz(fuzz_dir, texts, cx, command, flags, betti_flags):
         argv += betti_flags
     if command == 11:  # the last command always ends in the cross-check
         argv += ["--method", "both"]
-    code, _ = run_cli(*argv)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(*argv)
     assert code in (0, 1, 2, 3), argv
+    if code in (2, 3):
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
     methods = [argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--method"]
     if argv[0] == "betti" and methods[-1:] == ["both"]:
         assert code != 1, argv
