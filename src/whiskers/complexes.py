@@ -47,6 +47,27 @@ def _maximal(masks: list[int]) -> list[int]:
     return kept
 
 
+def _close_up(masks: Iterable[int], keep: int) -> list[int]:
+    """The masks cut to the positions in ``keep``, which are renumbered
+    0, 1, ... in order.  Each run of consecutive kept positions moves down
+    by one shift, so a mask takes one AND and one shift per run."""
+    runs: list[tuple[int, int]] = []
+    kept = 0
+    while keep:
+        low = keep & -keep
+        run = keep & ~(keep + low)
+        runs.append((run, low.bit_length() - 1 - kept))
+        kept += run.bit_count()
+        keep ^= run
+    out = []
+    for m in masks:
+        c = 0
+        for run, shift in runs:
+            c |= (m & run) >> shift
+        out.append(c)
+    return out
+
+
 def _normalise(ambient: Iterable[str], sets: Iterable[Iterable[str]],
                error: type[ValueError], noun: str,
                minimal: bool = False) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -166,18 +187,34 @@ class SimplicialComplex(_MaskFamily):
 
     # -- constructions ---------------------------------------------------------
 
+    def _positions(self, names: frozenset[str]) -> int:
+        """The mask of the ambient positions of those names in ``ambient``."""
+        return sum(1 << i for i, v in enumerate(self.ambient) if v in names)
+
+    def _cut(self, keep: int, masks: Iterable[int],
+             antichain: bool = False) -> "SimplicialComplex":
+        """The complex on the positions in ``keep`` whose facets are the
+        maximal ``masks`` cut to them; ``antichain`` says that the cut masks
+        are one already."""
+        amb = tuple(v for i, v in enumerate(self.ambient) if keep >> i & 1)
+        cut = _close_up(masks, keep)
+        if not antichain:
+            cut = [cut[i] for i in _maximal(cut)]
+        return SimplicialComplex._from_masks(amb, _by_position(cut))
+
     def deletion(self, h: Iterable[str]) -> "SimplicialComplex":
-        hs = frozenset(h)
-        amb = tuple(v for v in self.ambient if v not in hs)
-        return SimplicialComplex(amb, [f - hs for f in self.facets])
+        full = (1 << len(self.ambient)) - 1
+        return self._cut(full ^ self._positions(frozenset(h)), self._masks)
 
     def link(self, h: Iterable[str]) -> "SimplicialComplex":
         hs = frozenset(h)
-        facets = [f - hs for f in self.facets if hs <= f]
-        if not facets:
+        gone = self._positions(hs)
+        facets = [m for m in self._masks if m & gone == gone]
+        if not facets or gone.bit_count() < len(hs):
             raise ComplexError(f"{sorted(hs)} is not a face; link undefined")
-        amb = tuple(v for v in self.ambient if v not in hs)
-        return SimplicialComplex(amb, facets)
+        # facets that hold h stay an antichain once h is taken out
+        full = (1 << len(self.ambient)) - 1
+        return self._cut(full ^ gone, facets, antichain=True)
 
     def deletion_and_link(self, h: Iterable[str]) -> tuple["SimplicialComplex", "SimplicialComplex"]:
         return self.deletion(h), self.link(h)
@@ -198,13 +235,14 @@ class SimplicialComplex(_MaskFamily):
         overlap = set(self.ambient) & set(other.ambient)
         if overlap:
             raise ComplexError(f"ambient sets overlap: {sorted(overlap)}")
-        return SimplicialComplex(self.ambient + other.ambient,
-                                 [f1 | f2 for f1 in self.facets for f2 in other.facets])
+        # unions of two antichains on disjoint sets are an antichain
+        n = len(self.ambient)
+        return SimplicialComplex._from_masks(
+            self.ambient + other.ambient,
+            _by_position(f1 | f2 << n for f1 in self._masks for f2 in other._masks))
 
     def restriction(self, w: Iterable[str]) -> "SimplicialComplex":
-        ws = frozenset(w)
-        amb = tuple(v for v in self.ambient if v in ws)
-        return SimplicialComplex(amb, [f & ws for f in self.facets])
+        return self._cut(self._positions(frozenset(w)), self._masks)
 
     # -- enumerative invariants -------------------------------------------------
 
@@ -269,33 +307,46 @@ def _subsets_of(mask: int) -> Iterator[int]:
 
 
 def _homology_masks(faces: Iterable[int], k: FieldSpec) -> dict[int, int]:
-    """Reduced homology dims of a complex given as face bitmasks (incl. 0)."""
+    """Reduced homology dims of a complex given as face bitmasks (incl. 0).
+
+    Each boundary C_d -> C_{d-1} is built column by column, one column per
+    d-face, by a lowest-bit loop over the face: over F2 a bitmask of its
+    facets' row indices for ``rank_gf2``, over any other field a sparse
+    {row index: +-1} dict of its d+1 entries, handed as one row of the
+    transpose to ``rank_modp`` or ``rank_rational``.  Faces are indexed in
+    the order they arrive; a rank does not depend on it.
+    """
     by_dim: dict[int, list[int]] = {}
     for m in faces:
         by_dim.setdefault(m.bit_count() - 1, []).append(m)
     top = max(by_dim)
     if top == -1:
         return {-1: 1}
-    index = {d: {m: i for i, m in enumerate(sorted(ms))}
-             for d, ms in by_dim.items()}
     ranks: dict[int, int] = {}  # rank of boundary C_d -> C_{d-1}
+    rows = {0: 0}  # the (d-1)-faces by index
     for d in range(0, top + 1):
-        rows = index[d - 1]
-        col_masks = sorted(by_dim[d])
-        if k.p == 2:
-            cols = []
-            for m in col_masks:
+        cols = []
+        for m in by_dim[d]:
+            rest = m
+            if k.p == 2:
                 c = 0
-                for b in _mask_bits(m):
-                    c |= 1 << rows[m ^ (1 << b)]
-                cols.append(c)
+                while rest:
+                    low = rest & -rest
+                    c |= 1 << rows[m ^ low]
+                    rest ^= low
+            else:
+                c, sign = {}, 1
+                while rest:
+                    low = rest & -rest
+                    c[rows[m ^ low]] = sign
+                    sign = -sign
+                    rest ^= low
+            cols.append(c)
+        if k.p == 2:
             ranks[d] = rank_gf2(cols)
         else:
-            mat = [[0] * len(col_masks) for _ in range(len(rows))]
-            for ci, m in enumerate(col_masks):
-                for pos, b in enumerate(_mask_bits(m)):
-                    mat[rows[m ^ (1 << b)]][ci] = (-1) ** pos
-            ranks[d] = rank_rational(mat) if k.is_rational else rank_modp(mat, k.p)
+            ranks[d] = rank_rational(cols) if k.is_rational else rank_modp(cols, k.p)
+        rows = {m: i for i, m in enumerate(by_dim[d])}
     ranks[top + 1] = 0
     return {d: len(by_dim.get(d, ())) - ranks.get(d, 0) - ranks[d + 1]
             for d in range(-1, top + 1)}

@@ -3,14 +3,15 @@
 Homology (and hence every Betti number) is computed over either a prime
 field F_p or the rationals.  Ranks are exact.  F_2 has its own path,
 elimination on column bitsets held in Python ints.  Every other field goes
-through one sparse forward elimination, with entries reduced mod p for F_p
-and held as Fractions for the rationals.
+through one sparse forward elimination on Python ints, with entries reduced
+mod p for F_p and kept as integer rows divided by their content for the
+rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 # Characteristics must lie below this.  Primality is tested by trial division
 # up to sqrt(p): about 7 ms for 2^31 - 1, but hours for a prime near 2^61.
@@ -77,33 +78,44 @@ def rank_gf2(columns: list[int]) -> int:
     return rank
 
 
-def _rank(rows: list[list[int]], p: int | None) -> int:
+def _rank(rows: list[dict[int, int]], p: int | None) -> int:
     """Rank over F_p, or over the rationals when p is None.
 
-    Sparse forward elimination: each row is a {col: value} dict of its
-    nonzero entries.  The shortest remaining row is the pivot, which keeps
+    Sparse forward elimination on Python ints: each row is a {col: value}
+    dict of its nonzero entries, copied on entry, so the caller's rows are
+    left alone.  The shortest remaining row is the pivot, which keeps
     fill-in low on boundary matrices; its column is cleared from the other
-    rows and the pivot row is dropped.  A rank needs no back substitution
-    and no unit pivots, so neither is done.
+    rows and the pivot row is dropped.  Over F_p entries are reduced mod p
+    and a row is cleared with the pivot's inverse.  Over the rationals a
+    +-1 pivot clears a row with an integer multiple of itself; any other
+    pivot first scales the row by the lead, and the row is then divided by
+    its content (the gcd of its entries), which keeps entries small.  A rank
+    needs no back substitution and no unit pivots, so neither is done.
     """
     if p is None:
-        work = [{j: Fraction(x) for j, x in enumerate(r) if x} for r in rows]
+        work = [{j: x for j, x in r.items() if x} for r in rows]
     else:
-        work = [{j: x % p for j, x in enumerate(r) if x % p} for r in rows]
+        work = [{j: x % p for j, x in r.items() if x % p} for r in rows]
     work = [r for r in work if r]
     rank = 0
     while work:
         pivot = min(work, key=len)
         rank += 1
         col, lead = next(iter(pivot.items()))
-        inv = 1 / lead if p is None else pow(lead, -1, p)
+        unit = p is not None or lead == 1 or lead == -1
+        inv = lead if p is None else pow(lead, -1, p)
         rest = []
         for r in work:
             if r is pivot:
                 continue
             a = r.get(col)
             if a is not None:
-                f = a * inv
+                if unit:
+                    f = a * inv
+                else:  # lead * r - a * pivot has no entry in col
+                    for j in r:
+                        r[j] *= lead
+                    f = a
                 for j, x in pivot.items():
                     y = r.get(j, 0) - f * x
                     if p is not None:
@@ -114,16 +126,23 @@ def _rank(rows: list[list[int]], p: int | None) -> int:
                         del r[j]
                 if not r:
                     continue
+                if not unit:
+                    g = gcd(*r.values())
+                    if g > 1:
+                        for j in r:
+                            r[j] //= g
             rest.append(r)
         work = rest
     return rank
 
 
-def rank_modp(rows: list[list[int]], p: int) -> int:
-    """Rank over F_p of a dense integer matrix."""
+def rank_modp(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over F_p of an integer matrix given as sparse rows, one
+    {col: value} dict of nonzero entries per row."""
     return _rank(rows, p)
 
 
-def rank_rational(rows: list[list[int]]) -> int:
-    """Rank over the rationals of a dense integer matrix."""
+def rank_rational(rows: list[dict[int, int]]) -> int:
+    """Rank over the rationals of an integer matrix given as sparse rows,
+    one {col: value} dict of nonzero entries per row."""
     return _rank(rows, None)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 from .complexes import (SimplicialComplex, _homology_masks, _MaskFamily,
                         _named, _normalise, independence_complex)
 from .fields import GF2, FieldSpec
-from .graph import Graph, ResourceLimit, _by_position, _mask_bits, _mask_tuples
+from .graph import Graph, ResourceLimit, _by_position, _mask_tuples
 from .whisker import WhiskeredGraph, build_whiskered
 
 DEFAULT_ORACLE_AMBIENT_BOUND = 16
@@ -218,7 +218,12 @@ def _restriction_homology(w: int, nonface: bytes, faces: int,
     every member.  Faces are kept in W's own numbering, which makes the list
     a cache key for every W with the same complex.
     """
-    w_bits = [1 << b for b in _mask_bits(w)]
+    w_bits = []
+    rest = w
+    while rest:
+        low = rest & -rest
+        w_bits.append(low)
+        rest ^= low
     nw = len(w_bits)
     dual = 2 * faces > 1 << nw
     found: list[int] = []

@@ -158,7 +158,8 @@ def test_oracle_matches_koszul_homology():
 
 def test_rank_kernels_match_brute_force():
     """rank_modp against the size of the row span (p^rank), rank_rational
-    against the independent _rank_q above."""
+    against the independent _rank_q above.  The kernels take sparse rows,
+    one {col: value} dict per row, and leave them as they were."""
     rng = random.Random(7)
     mats = [[], [[]], [[], []], [[0, 0, 0]], [[0, 0], [0, 0], [0, 0]],
             [[1, 2], [0, 0], [2, 4]]]
@@ -166,13 +167,24 @@ def test_rank_kernels_match_brute_force():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)  # tall and wide
         mats.append([[rng.choice([0, 0, 1, -1, 2, 3, -4]) for _ in range(cols)]
                      for _ in range(rows)])
-    for mat in mats:
-        for p in (2, 3, 5):
-            span = {tuple(sum(c * x for c, x in zip(coeffs, col)) % p
-                          for col in zip(*mat))
-                    for coeffs in product(range(p), repeat=len(mat))}
-            assert len(span) == p ** rank_modp(mat, p), (mat, p)
-        assert rank_rational(mat) == _rank_q(mat), mat
+    # larger ones, where QQ elimination meets pivots other than +-1; the
+    # span has up to p^10 vectors, so past 5 rows only _rank_q checks them
+    big = []
+    for _ in range(60):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+        big.append([[rng.choice([0, 0, 1, -1, 2, 3, -4]) for _ in range(cols)]
+                    for _ in range(rows)])
+    for mat in mats + big:
+        sparse = [{c: x for c, x in enumerate(r) if x} for r in mat]
+        before = repr(sparse)
+        if len(mat) <= 5:
+            for p in (2, 3, 5):
+                span = {tuple(sum(c * x for c, x in zip(coeffs, col)) % p
+                              for col in zip(*mat))
+                        for coeffs in product(range(p), repeat=len(mat))}
+                assert len(span) == p ** rank_modp(sparse, p), (mat, p)
+        assert rank_rational(sparse) == _rank_q(mat), mat
+        assert repr(sparse) == before, mat
 
 
 # -- conventions and table algebra ----------------------------------------------
@@ -266,8 +278,10 @@ def test_recursion_matches_oracle():
     for t in range(30):
         w = random_build(rng, ["pi", "cc", "mc"][t % 3], max_base=5, max_total=10)
         field = QQ if t % 3 == 0 else GF2
-        assert betti_recursive_cover(w, k=field) \
-            == betti_oracle(ideal_of(w.graph, "cover"), field)
+        # odd primes too, so the mod-p kernel meets the recursion
+        for k in (field, FieldSpec(3), FieldSpec(5)):
+            assert betti_recursive_cover(w, k=k) \
+                == betti_oracle(ideal_of(w.graph, "cover"), k)
 
 
 def test_recursion_rejects_md():
