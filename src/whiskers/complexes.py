@@ -13,7 +13,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .fields import QQ, FieldSpec, rank_gf2, rank_modp, rank_rational
-from .graph import Graph, _by_position, _mask_bits, _mask_tuples
+from .graph import Graph, _by_position, _close_up, _mask_bits, _mask_tuples
 
 
 class ComplexError(ValueError):
@@ -45,27 +45,6 @@ def _maximal(masks: list[int]) -> list[int]:
             rest ^= low
         kept.append(i)
     return kept
-
-
-def _close_up(masks: Iterable[int], keep: int) -> list[int]:
-    """The masks cut to the positions in ``keep``, which are renumbered
-    0, 1, ... in order.  Each run of consecutive kept positions moves down
-    by one shift, so a mask takes one AND and one shift per run."""
-    runs: list[tuple[int, int]] = []
-    kept = 0
-    while keep:
-        low = keep & -keep
-        run = keep & ~(keep + low)
-        runs.append((run, low.bit_length() - 1 - kept))
-        kept += run.bit_count()
-        keep ^= run
-    out = []
-    for m in masks:
-        c = 0
-        for run, shift in runs:
-            c |= (m & run) >> shift
-        out.append(c)
-    return out
 
 
 def _normalise(ambient: Iterable[str], sets: Iterable[Iterable[str]],
@@ -165,7 +144,9 @@ class SimplicialComplex(_MaskFamily):
 
     def has_face(self, s: Iterable[str]) -> bool:
         fs = frozenset(s)
-        return any(fs <= f for f in self.facets)
+        m = self._positions(fs)
+        # a name outside the ambient set has no position, so no face holds it
+        return m.bit_count() == len(fs) and any(not m & ~f for f in self._masks)
 
     def minimal_nonfaces(self) -> list[frozenset[str]]:
         """Minimal subsets of the ambient set that are not faces."""

@@ -316,6 +316,7 @@ def is_scm_via_dual(delta: SimplicialComplex, k: FieldSpec = GF2) -> bool:
     ideal must have a linear resolution (Betti numbers vanishing off
     j = i + e), checked with the Betti oracle.
     """
+    # imported here: ideals -> whisker -> decomposability is a cycle at load
     from .ideals import MonomialIdeal, has_linear_resolution
 
     if delta.is_void:

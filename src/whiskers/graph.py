@@ -39,6 +39,27 @@ def _by_position(masks: Iterable[int]) -> list[int]:
     return sorted(masks, key=lambda m: tuple(_mask_bits(m)))
 
 
+def _close_up(masks: Iterable[int], keep: int) -> list[int]:
+    """The masks cut to the positions in ``keep``, which are renumbered
+    0, 1, ... in order.  Each run of consecutive kept positions moves down
+    by one shift, so a mask takes one AND and one shift per run."""
+    runs: list[tuple[int, int]] = []
+    kept = 0
+    while keep:
+        low = keep & -keep
+        run = keep & ~(keep + low)
+        runs.append((run, low.bit_length() - 1 - kept))
+        kept += run.bit_count()
+        keep ^= run
+    out = []
+    for m in masks:
+        c = 0
+        for run, shift in runs:
+            c |= (m & run) >> shift
+        out.append(c)
+    return out
+
+
 def _mask_tuples(names: tuple[str, ...], masks: Iterable[int]) -> list[tuple[str, ...]]:
     """Each mask as the tuple of its names, in position order."""
     return [tuple(names[i] for i in _mask_bits(m)) for m in masks]
@@ -50,34 +71,36 @@ class Graph:
     __slots__ = ("vertices", "_pos", "_adj")
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable[tuple[str, str]] = ()):
-        vs = tuple(vertices)
-        seen = set()
-        for v in vs:
-            if v in seen:
+        """The checked entry for names and edges from outside; edge ends
+        that are not listed in ``vertices`` are added after them."""
+        pos: dict[str, int] = {}
+        for v in vertices:
+            if v in pos:
                 raise GraphError(f"duplicate vertex {v!r}")
-            seen.add(v)
-        extra = []
-        edge_list = []
+            pos[v] = len(pos)
+        pairs = []
         for u, v in edges:
             if u == v:
                 raise GraphError(f"loop at {u!r}")
-            for w in (u, v):
-                if w not in seen:
-                    seen.add(w)
-                    extra.append(w)
-            edge_list.append((u, v))
-        vs = vs + tuple(extra)
-        if len(vs) > MAX_VERTICES:
+            pairs.append((pos.setdefault(u, len(pos)), pos.setdefault(v, len(pos))))
+        if len(pos) > MAX_VERTICES:
             raise GraphError(f"graph exceeds {MAX_VERTICES} vertices")
-        pos = {v: i for i, v in enumerate(vs)}
-        adj = [0] * len(vs)
-        for u, v in edge_list:
-            iu, iv = pos[u], pos[v]
+        adj = [0] * len(pos)
+        for iu, iv in pairs:
             adj[iu] |= 1 << iv
             adj[iv] |= 1 << iu
-        self.vertices = vs
-        self._pos = pos
-        self._adj = tuple(adj)
+        self.vertices, self._pos, self._adj = tuple(pos), pos, tuple(adj)
+
+    @classmethod
+    def _from_adj(cls, vertices: Iterable[str], adj: Iterable[int]) -> "Graph":
+        """Vertices and bitsets of a derived graph, taken as they are; only
+        the vertex cap, which a union or a build can pass, is checked."""
+        g = cls.__new__(cls)
+        g.vertices, g._adj = tuple(vertices), tuple(adj)
+        if len(g.vertices) > MAX_VERTICES:
+            raise GraphError(f"graph exceeds {MAX_VERTICES} vertices")
+        g._pos = {v: i for i, v in enumerate(g.vertices)}
+        return g
 
     # -- basic accessors ---------------------------------------------------
 
@@ -153,11 +176,8 @@ class Graph:
 
     def _induce_mask(self, keep: int) -> "Graph":
         old = list(_mask_bits(keep))
-        g = Graph([self.vertices[i] for i in old])
-        new_bit = {i: 1 << k for k, i in enumerate(old)}
-        g._adj = tuple(sum(new_bit[j] for j in _mask_bits(self._adj[i] & keep))
-                       for i in old)
-        return g
+        return Graph._from_adj([self.vertices[i] for i in old],
+                               _close_up([self._adj[i] for i in old], keep))
 
     def delete_vertices(self, vs: Iterable[str]) -> "Graph":
         drop = self._to_mask(vs)
@@ -169,18 +189,16 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = (1 << len(self.vertices)) - 1
-        g = Graph(self.vertices)
-        g._adj = tuple(full & ~(a | 1 << i) for i, a in enumerate(self._adj))
-        return g
+        return Graph._from_adj(
+            self.vertices, (full & ~(a | 1 << i) for i, a in enumerate(self._adj)))
 
     def disjoint_union(self, other: "Graph") -> "Graph":
         common = set(self.vertices) & set(other.vertices)
         if common:
             raise GraphError(f"vertex sets overlap: {sorted(common)}")
-        g = Graph(self.vertices + other.vertices)
         n = len(self.vertices)
-        g._adj = self._adj + tuple(a << n for a in other._adj)
-        return g
+        return Graph._from_adj(self.vertices + other.vertices,
+                               self._adj + tuple(a << n for a in other._adj))
 
     def components(self) -> list[frozenset[str]]:
         n = len(self.vertices)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .graph import Graph, edgeless_graph, path_graph
-from .whisker import (PartitionSpec, WhiskerError, WhiskeredGraph, build_whiskered,
+from .whisker import (PartitionSpec, WhiskerError, WhiskeredGraph, _assemble,
                       default_spec, validate_partitions)
 
 # Cliques a random cluster partition puts into one cluster at most.
@@ -116,8 +116,8 @@ def random_instance(rng: random.Random, kind: str, max_base: int = 8,
 
 def random_build(rng: random.Random, kind: str, max_base: int = 8,
                  max_total: int = 14) -> WhiskeredGraph:
-    g, spec = random_instance(rng, kind, max_base, max_total)
-    return build_whiskered(g, spec, kind)
+    # random_instance has just validated the spec, and it fits kind
+    return _assemble(*random_instance(rng, kind, max_base, max_total), kind)
 
 
 def random_complex_facets(rng: random.Random,

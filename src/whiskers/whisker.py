@@ -16,9 +16,9 @@ kinds:
 The kinds nest in ``KINDS`` order: a spec fits its most specific kind
 (``derive_kind``) and every later one, so a requested kind is checked by its
 place in that order, plus the vertex decomposability of the whisker graphs
-for md.  A build is assembled on adjacency bitsets: each whisker graph's
-bitsets are shifted past the vertices before it and joined to the mask of
-the base vertices it attaches to.
+for md.  ``build_whiskered`` checks a spec once; ``_assemble`` then builds on
+adjacency bitsets, each whisker graph shifted past the vertices before it.
+Residuals and seeded random builds, valid by construction, skip the checks.
 
 The type of a construction is (d, r) with d the number of cliques and r the
 number of multi-clique clusters.  Deleting a base vertex v or its closed
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .decomposability import is_vd_graph
 from .graph import Graph, GraphError, _mask_bits, edgeless_graph
 
 KINDS = ("pi", "cc", "mc", "md")
@@ -209,7 +210,6 @@ def _check_kind(spec: PartitionSpec, kind: str) -> list[str]:
         return [f"kind={kind} does not fit a spec of kind {derived}"]
     if kind != "md":
         return []
-    from .decomposability import is_vd_graph
     labelled = ([(f"A{i + 1}", a) for i, a in enumerate(spec.whisker_a)]
                 + [(f"B{j + 1}", b) for j, b in enumerate(spec.whisker_b)
                    if b is not None])
@@ -223,7 +223,11 @@ def build_whiskered(g: Graph, spec: PartitionSpec, kind: str) -> WhiskeredGraph:
     bad = validate_partitions(g, spec) + _check_kind(spec, kind)
     if bad:
         raise WhiskerError("invalid partition spec: " + "; ".join(bad))
+    return _assemble(g, spec, kind)
 
+
+def _assemble(g: Graph, spec: PartitionSpec, kind: str) -> WhiskeredGraph:
+    """The build of a spec already checked against g and kind."""
     # each whisker graph with the base vertices its vertices are joined to
     pieces = [(a, spec.cliques[i]) for i, a in enumerate(spec.whisker_a)]
     pieces += [(b, [w for i in spec.clusters[j] for w in spec.cliques[i]])
@@ -238,10 +242,8 @@ def build_whiskered(g: Graph, spec: PartitionSpec, kind: str) -> WhiskeredGraph:
             adj[x] |= block
         vertices.extend(h.vertices)
         adj.extend(a << start | attach_mask for a in h._adj)
-    built = Graph(vertices)
-    built._adj = tuple(adj)
     added = frozenset(vertices[len(g.vertices):])
-    return WhiskeredGraph(built, g, spec, kind, added)
+    return WhiskeredGraph(Graph._from_adj(vertices, adj), g, spec, kind, added)
 
 
 # -- structural decompositions ----------------------------------------------
@@ -292,7 +294,7 @@ def _residual(w: WhiskeredGraph,
     base = w.base.induce(x for x in w.base.vertices if x not in removed)
     residual = PartitionSpec(tuple(cliques), tuple(clusters),
                              tuple(whisker_a), tuple(whisker_b))
-    return build_whiskered(base, residual, derive_kind(residual)), isolated
+    return _assemble(base, residual, derive_kind(residual)), isolated
 
 
 def decompose_delete(w: WhiskeredGraph, v: str) -> tuple[WhiskeredGraph, list[Graph]]:

@@ -89,6 +89,12 @@ def test_independence_complex_matches_name_route():
 def test_faces_and_nonfaces():
     c = independence_complex(cycle_graph(["1", "2", "3", "4"]))
     assert c.has_face({"1", "3"}) and not c.has_face({"1", "2"})
+    assert c.has_face(set()) and not c.has_face({"1", "x"}) and not c.has_face({"x"})
+    void = SimplicialComplex(["1", "2"], [])
+    assert not void.has_face(set()) and not void.has_face({"1"})
+    irrelevant = SimplicialComplex(["1", "2"], [()])
+    assert irrelevant.has_face(set()) and not irrelevant.has_face({"1"})
+    assert not irrelevant.has_face({"x"})
     nonfaces = {frozenset(f) for f in c.minimal_nonfaces()}
     assert nonfaces == {frozenset({"1", "2"}), frozenset({"2", "3"}),
                         frozenset({"3", "4"}), frozenset({"1", "4"})}

@@ -391,11 +391,18 @@ _FLAGS = st.one_of(st.just([]), st.lists(st.sampled_from([
     ["--expect-vd"], ["--kind", "pi"], ["--kind", "cc"], ["--kind", "mc"],
     ["--kind", "md"], ["--kind"], ["--complex"], ["--bogus"], ["-h"]]),
     max_size=2).map(lambda fs: [f for flag in fs for f in flag]))
-_BETTI_FLAGS = st.lists(st.sampled_from([
+_BETTI_CHOICES = [
     ["--method", "oracle"], ["--method", "recursive"], ["--method", "both"],
     ["--field", "2"], ["--field", "3"], ["--field", "0"], ["--field", "4"],
     ["--quotient"], ["--ideal", "edge"], ["--ideal", "cover"],
-    ["--oracle-bound", "3"], ["--oracle-bound", "40"]]),
+    ["--oracle-bound", "3"], ["--oracle-bound", "40"]]
+_BETTI_FLAGS = st.lists(st.sampled_from(_BETTI_CHOICES), max_size=4).map(
+    lambda fs: [f for flag in fs for f in flag])
+# the betti flags after which --method both still compares the two routes:
+# no bad field, no edge ideal and no oracle bound below the build
+_BOTH_FLAGS = st.lists(st.sampled_from([
+    flag for flag in _BETTI_CHOICES if flag not in (
+        ["--field", "4"], ["--ideal", "edge"], ["--oracle-bound", "3"])]),
     max_size=4).map(lambda fs: [f for flag in fs for f in flag])
 
 
@@ -438,12 +445,14 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(texts=_build_texts(), cx=_complex_text(),
-       command=st.sampled_from(range(12)), flags=_FLAGS, betti_flags=_BETTI_FLAGS)
-def test_cli_run_fuzz(fuzz_dir, texts, cx, command, flags, betti_flags):
+       command=st.sampled_from(range(12)), flags=_FLAGS, betti_flags=_BETTI_FLAGS,
+       both_flags=_BOTH_FLAGS)
+def test_cli_run_fuzz(fuzz_dir, texts, cx, command, flags, betti_flags, both_flags):
     """Complex, graph and partition text with random flags: every run ends
     with exit 0, 1, 2 or 3 and raises nothing, a run that exits 2 or 3
     writes one stderr line, and betti --method both never finds the oracle
-    and the recursion apart (exit 1)."""
+    and the recursion apart (exit 1).  The last command is the cross-check,
+    drawn only with flags that let it compare."""
     graph, part = texts
     paths = {}
     for name, text in (("g.graph", graph), ("p.part", part), ("c.cx", cx)):
@@ -455,11 +464,13 @@ def test_cli_run_fuzz(fuzz_dir, texts, cx, command, flags, betti_flags):
             ["check-vd", *build], ["betti", *build], ["betti", *alone],
             ["facets", *build], ["facets", *alone], ["poset", *build],
             ["poset", *alone], ["export-dot", *build],
-            ["export-dot", *alone], ["betti", *build]][command] + flags
-    if argv[0] == "betti":
-        argv += betti_flags
-    if command == 11:  # the last command always ends in the cross-check
-        argv += ["--method", "both"]
+            ["export-dot", *alone], ["betti", *build]][command]
+    if command == 11:
+        argv += both_flags + ["--method", "both"]
+    else:
+        argv += flags
+        if argv[0] == "betti":
+            argv += betti_flags
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code, _ = run_cli(*argv)

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from whiskers import (Graph, WhiskerError, build_whiskered, cycle_graph,
+from whiskers import (Graph, GraphError, WhiskerError, build_whiskered, cycle_graph,
                       decompose_delete, decompose_link, default_spec,
                       derive_kind, edgeless_graph, path_graph, trivial_spec,
                       validate_partitions)
+from whiskers.graph import MAX_VERTICES
 from whiskers.whisker import KINDS
 from whiskers.randinst import random_build, random_instance
 
@@ -189,6 +190,11 @@ def test_decompositions_reassemble_randomly():
                 sorted(target.vertices)
             assert set().union(*(p.edges for p in pieces)) == target.edges
             assert not validate_partitions(residual.base, residual.spec)
+            # a residual is assembled without checks; the checked build of
+            # its own base, spec and kind must give the same whiskered graph
+            assert residual.kind == derive_kind(residual.spec)
+            assert build_whiskered(residual.base, residual.spec,
+                                   residual.kind) == residual
 
 
 def test_empty_base_degenerates():
@@ -205,6 +211,21 @@ def test_random_instances_validate():
             assert validate_partitions(g, spec) == []
             w = build_whiskered(g, spec, kind)
             assert len(w.graph.vertices) <= 14
+    # random_build skips the checks that build_whiskered runs
+    for s in range(40):
+        kind = KINDS[s % 4]
+        assert random_build(random.Random(s), kind) == build_whiskered(
+            *random_instance(random.Random(s), kind), kind)
+
+
+def test_assembled_graphs_keep_the_vertex_cap():
+    # unions and builds are assembled from bitsets, but still capped
+    a = edgeless_graph(f"a{i}" for i in range(MAX_VERTICES // 2 + 1))
+    b = edgeless_graph(f"b{i}" for i in range(MAX_VERTICES // 2 + 1))
+    for make in (lambda: a.disjoint_union(b),
+                 lambda: build_whiskered(a, trivial_spec(a), "pi")):
+        with pytest.raises(GraphError, match=f"^graph exceeds {MAX_VERTICES} vertices$"):
+            make()
 
 
 def test_random_instance_raises_on_invalid_spec(monkeypatch):
