@@ -1,24 +1,41 @@
 """Vertex decomposability certificates, shedding vertices, shellability,
 unmixedness, and the componentwise-linear-dual criterion.
 
-The decomposability search starts from the complex's own ``_masks`` and
-keeps every subcomplex as int bitmasks over those position bits, never
-renumbered.  Its memo is keyed by the facet set with its cone points (the
-vertices in every facet) removed, and lives for one top-level call, so a
-long-lived process keeps none of it.  The key is exact because a cone x*G
-is vertex decomposable exactly when G is (Provan-Billera), so a cone and
-its base share one verdict.  A ``False`` there holds on every path, because
-vertex decomposability does not depend on the trial order; a tree there
-only says "yes", and the search still expands the facets as given, so a
-certificate never comes from another complex's entry.
+Two searches decide vertex decomposability, and they share no code.
 
-The trial order is descending degree in the 1-skeleton, ties broken by each
-subcomplex's labels, so the labels fix which certificate is found.  The
-top labels are the support's bits in the string order of their names.
-Below it, a child's labels are its support in the order of the parent's
-labels as decimal strings (0, 1, 10, 11, ..., 2, ...); under ten labels
-that is the numeric order.  ``shedding_vertices`` and ``is_vd_graph`` need
-verdicts only: they break ties by bit, and any tree in their memo answers
+The graph engine `_vd` answers `is_vd_graph`, and `shedding_vertices` on a
+flag complex, which is Ind(H) of the graph H complementing its 1-skeleton.
+It runs on vertex masks over H's adjacency bitsets and lists no maximal
+independent set.  It drops isolated vertices, which are cone points, keys
+its memo by the vertices left, and decides separate components one by one,
+since a join is VD exactly when each part is.  (beta) at x holds at once
+when a neighbour y has N[y] inside N[x]; otherwise `_witness` looks for an
+independent set outside N[x] that dominates N(x), which exists exactly when
+(beta) fails.  Its work is bounded by VD_GRAPH_NODE_BOUND.
+
+The facet search `_search` gives `is_vertex_decomposable` its certificate,
+and `shedding_vertices` its verdicts on a complex that is not flag.  A
+certificate names shed vertices that its replay re-splits facet by facet,
+and its text depends on the facet search's trial order, so certificates
+stay on the facet search and `check-vd` output does not change.  It starts
+from the complex's own ``_masks`` and keeps every subcomplex as int
+bitmasks over those position bits, never renumbered.  Its memo is keyed by
+the facet set with its cone points (the vertices in every facet) removed,
+and lives for one top-level call, so a long-lived process keeps none of
+it.  The key is exact because a cone x*G is vertex decomposable exactly
+when G is (Provan-Billera), so a cone and its base share one verdict.  A
+``False`` there holds on every path, because vertex decomposability does
+not depend on the trial order; a tree there only says "yes", and the
+search still expands the facets as given, so a certificate never comes
+from another complex's entry.
+
+The facet search's trial order is descending degree in the 1-skeleton,
+ties broken by each subcomplex's labels, so the labels fix which
+certificate is found.  The top labels are the support's bits in the string
+order of their names.  Below it, a child's labels are its support in the
+order of the parent's labels as decimal strings (0, 1, 10, 11, ..., 2,
+...); under ten labels that is the numeric order.  Without a label order
+only the verdict counts: ties go by bit, and any tree in the memo answers
 for its facet set.  ``is_vertex_decomposable`` searches a subcomplex again
 when the memo holds a tree for it, because that tree may follow other
 labels, and puts names on the tree once, at the end.
@@ -26,9 +43,8 @@ labels, and puts names on the tree once, at the end.
 A refutation is the input complex itself.  A failed subcomplex only sends
 its parent on to the next trial vertex, so the search is stuck exactly when
 the top complex is, and ``VDCertificate.refutation`` lists the input's
-facets.  The label-level ``_split`` serves only the
-certificate replay and the brute-force oracle, which check the kernel
-independently.
+facets.  The label-level ``_split`` serves only the certificate replay and
+the brute-force oracle, which check both searches independently.
 """
 
 from __future__ import annotations
@@ -40,10 +56,16 @@ from typing import Collection
 
 from .complexes import ComplexError, SimplicialComplex
 from .fields import GF2, FieldSpec
-from .graph import Graph, ResourceLimit, _by_position, _mask_bits
+from .graph import (Graph, ResourceLimit, _by_position, _component, _isolated,
+                    _mask_bits, _mis_walk)
 
 DEFAULT_SHELLING_FACET_BOUND = 12
 DEFAULT_SCM_AMBIENT_BOUND = 14
+# Work one graph-level VD verdict or shedding list may take: engine nodes
+# (distinct vertex sets) plus witness branches.  The tests, the property
+# suites and the benchmark's inputs take at most about 2,600; a unit costs
+# 2-80 us on a 2-vCPU Xeon with Python 3.11, so the bound is a few seconds.
+VD_GRAPH_NODE_BOUND = 1 << 17
 
 
 # A certificate tree is either ("simplex",) or ("shed", v, del_tree, lk_tree).
@@ -165,6 +187,133 @@ def _search(facets: Collection[int], order: list[int] | None,
     return tree
 
 
+class _Memo(dict):
+    """`_vd`'s verdicts by vertex mask, and the work spent so far."""
+
+    __slots__ = ("work",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.work = 0
+
+    def spend(self) -> None:
+        self.work += 1
+        if self.work > VD_GRAPH_NODE_BOUND:
+            raise ResourceLimit(f"{self.work} graph VD nodes exceeds the graph "
+                                f"VD node bound {VD_GRAPH_NODE_BOUND}")
+
+
+def _vd(adj: tuple[int, ...], u: int, memo: _Memo) -> bool:
+    """Whether Ind(G[u]) is vertex decomposable, on G's adjacency bitsets.
+
+    An isolated vertex is a cone point, and a cone is VD exactly when its
+    base is, so the memo key is ``u`` without them.  Separate components
+    give a join, which is VD exactly when each part is (Provan-Billera).
+    Otherwise x sheds when Ind(G[u] - x) and Ind(G[u] - N[x]) are VD and
+    (beta) holds.  A neighbour y with N[y] inside N[x] makes (beta) hold at
+    once (Woodroofe 2009, Lemma 6), so such x are tried first, then the
+    rest by descending degree.
+    """
+    u &= ~_isolated(adj, u)
+    if not u:
+        return True
+    known = memo.get(u)
+    if known is not None:
+        return known
+    memo.spend()
+    comp = _component(adj, u, (u & -u).bit_length() - 1)
+    if comp != u:
+        verdict = _vd(adj, comp, memo) and _vd(adj, u ^ comp, memo)
+        memo[u] = verdict
+        return verdict
+    closed = {}
+    rest = u
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        closed[i] = adj[i] & u | low
+        rest ^= low
+    dominated = 0  # the x with a neighbour y such that N[y] lies in N[x]
+    for y, near in closed.items():
+        rest = near ^ 1 << y
+        while rest:
+            low = rest & -rest
+            if not near & ~closed[low.bit_length() - 1]:
+                dominated |= low
+            rest ^= low
+    trials = sorted(closed, key=lambda i: (not dominated >> i & 1,
+                                           -closed[i].bit_count()))
+    verdict = False
+    for x in trials:
+        bit = 1 << x
+        link = u & ~closed[x]
+        if not dominated & bit and _witness(adj, link, adj[x] & u, memo):
+            continue
+        if _vd(adj, u ^ bit, memo) and _vd(adj, link, memo):
+            verdict = True
+            break
+    memo[u] = verdict
+    return verdict
+
+
+def _witness(adj: tuple[int, ...], avail: int, undominated: int,
+             memo: _Memo) -> bool:
+    """Whether an independent set inside ``avail`` dominates ``undominated``.
+
+    With ``avail`` = u - N[x] and ``undominated`` = N(x) in u, such a set
+    grows to a maximal independent set of G[u] - N[x] that stays maximal in
+    G[u] - x, so it exists exactly when (beta) fails at x.  The search
+    branches on the undominated vertex with the fewest candidates and stops
+    at the first set found.
+    """
+    if not undominated:
+        return True
+    memo.spend()
+    fewest = avail
+    rest = undominated
+    while rest:
+        low = rest & -rest
+        cand = (adj[low.bit_length() - 1] | low) & avail
+        if not cand:
+            return False
+        if cand.bit_count() < fewest.bit_count():
+            fewest = cand
+        rest ^= low
+    while fewest:
+        low = fewest & -fewest
+        near = adj[low.bit_length() - 1] | low
+        if _witness(adj, avail & ~near, undominated & ~near, memo):
+            return True
+        avail ^= low  # later branches leave this candidate out
+        fewest ^= low
+    return False
+
+
+def _flag_graph(delta: SimplicialComplex) -> tuple[int, ...] | None:
+    """Adjacency bitsets of the graph H with Ind(H) = delta on its support,
+    or None when delta is not flag.
+
+    H is the complement of the 1-skeleton on the support.  Each facet is
+    independent in H, so delta = Ind(H) exactly when every maximal
+    independent set of H is a facet; the walk stops at the first that is
+    not, so it lists at most one set more than delta has facets.
+    """
+    skeleton = [0] * len(delta.ambient)
+    support = 0
+    for f in delta._masks:
+        support |= f
+        rest = f
+        while rest:
+            low = rest & -rest
+            skeleton[low.bit_length() - 1] |= f
+            rest ^= low
+    adj = tuple(support & ~near if near else 0 for near in skeleton)
+    facets = set(delta._masks)
+    if _mis_walk(adj, support, lambda m: m not in facets):
+        return None
+    return adj
+
+
 def _top_order(delta: SimplicialComplex) -> list[int]:
     """The support's position bits, in the string order of their names."""
     bits = _mask_bits(reduce(int.__or__, delta._masks, 0))
@@ -194,10 +343,11 @@ def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
 
 
 def is_vd_graph(g: Graph) -> bool:
-    """VD of a graph = VD of its independence complex, whose facets are the
-    maximal independent sets.  Only the verdict is searched for, so bits go
-    by vertex position and no certificate is built or named."""
-    return _search(g._mis_masks(), None, {}) is not False
+    """VD of a graph = VD of its independence complex, decided by the graph
+    engine `_vd` on the adjacency bitsets; no maximal independent set is
+    listed and no certificate is built.  Raises ResourceLimit past
+    VD_GRAPH_NODE_BOUND."""
+    return _vd(g._adj, (1 << len(g.vertices)) - 1, _Memo())
 
 
 def verify_certificate(delta: SimplicialComplex, cert: VDCertificate) -> bool:
@@ -237,18 +387,37 @@ def is_vd_brute_force(delta: SimplicialComplex) -> bool:
 
 def shedding_vertices(delta: SimplicialComplex, weak: bool = False) -> list[str]:
     """Vertices satisfying conditions (alpha) and (beta); weak mode tests
-    (beta) only."""
+    (beta) only.
+
+    A flag complex is Ind(H) of a graph H, and the graph engine `_vd`
+    decides its deletions and links; any other complex takes the facet
+    search.
+    """
     if delta.is_void:
         raise ComplexError("void complex has no shedding vertices")
-    memo: dict[frozenset[int], Tree | bool] = {}
+    adj = _flag_graph(delta)
     out = []
+    if adj is None:
+        memo: dict[frozenset[int], Tree | bool] = {}
+        for x in _top_order(delta):
+            split = _split_masks(delta._masks, x)
+            if split is None:
+                continue
+            if weak or (_search(split[0], None, memo) is not False
+                        and _search(split[1], None, memo) is not False):
+                out.append(delta.ambient[x.bit_length() - 1])
+        return out
+    support = reduce(int.__or__, delta._masks)
+    engine = _Memo()
     for x in _top_order(delta):
-        split = _split_masks(delta._masks, x)
-        if split is None:
+        i = x.bit_length() - 1
+        link = support & ~(adj[i] | x)
+        # a neighbour y with N[y] inside N[x] has no neighbour in the link
+        if (all(adj[j] & link for j in _mask_bits(adj[i]))
+                and _split_masks(delta._masks, x) is None):
             continue
-        if weak or (_search(split[0], None, memo) is not False
-                    and _search(split[1], None, memo) is not False):
-            out.append(delta.ambient[x.bit_length() - 1])
+        if weak or (_vd(adj, support ^ x, engine) and _vd(adj, link, engine)):
+            out.append(delta.ambient[i])
     return out
 
 

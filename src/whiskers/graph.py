@@ -9,7 +9,7 @@ run on machine words / Python ints.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 MAX_VERTICES = 512  # documented cap; exhaustive algorithms dominate anyway
 # Maximal independent sets one enumeration may emit.  A perfect matching on
@@ -58,6 +58,56 @@ def _close_up(masks: Iterable[int], keep: int) -> list[int]:
             c |= (m & run) >> shift
         out.append(c)
     return out
+
+
+def _component(adj: tuple[int, ...], keep: int, i: int) -> int:
+    """The vertices of G[keep] joined to vertex i, which lies in ``keep``."""
+    comp = frontier = 1 << i
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & keep & ~comp
+        comp |= frontier
+    return comp
+
+
+def _isolated(adj: tuple[int, ...], keep: int) -> int:
+    """The vertices of ``keep`` with no neighbour in ``keep``."""
+    out = 0
+    rest = keep
+    while rest:
+        low = rest & -rest
+        if not adj[low.bit_length() - 1] & keep:
+            out |= low
+        rest ^= low
+    return out
+
+
+def _mis_walk(adj: tuple[int, ...], keep: int, emit: Callable[[int], bool]) -> bool:
+    """Call ``emit`` on each maximal independent set of G[keep], as a mask.
+
+    Bron-Kerbosch with pivoting on the complement graph: maximal independent
+    sets here are maximal cliques there.  The walk stops at the first call
+    that returns True and then returns True itself.
+    """
+    nonadj = [keep & ~(a | 1 << i) for i, a in enumerate(adj)]
+
+    def expand(r: int, p: int, x: int) -> bool:
+        if not p and not x:
+            return emit(r)
+        pivot = max(_mask_bits(p | x), key=lambda i: (nonadj[i] & p).bit_count())
+        for i in _mask_bits(p & ~nonadj[pivot]):
+            bit = 1 << i
+            if expand(r | bit, p & nonadj[i], x & nonadj[i]):
+                return True
+            p &= ~bit
+            x |= bit
+        return False
+
+    return expand(0, keep, 0)
 
 
 def _mask_tuples(names: tuple[str, ...], masks: Iterable[int]) -> list[tuple[str, ...]]:
@@ -201,21 +251,11 @@ class Graph:
                                self._adj + tuple(a << n for a in other._adj))
 
     def components(self) -> list[frozenset[str]]:
-        n = len(self.vertices)
-        seen = 0
+        rest = (1 << len(self.vertices)) - 1
         out = []
-        for i in range(n):
-            if seen >> i & 1:
-                continue
-            comp = 1 << i
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for j in _mask_bits(frontier):
-                    nxt |= self._adj[j]
-                frontier = nxt & ~comp
-                comp |= nxt
-            seen |= comp
+        while rest:
+            comp = _component(self._adj, rest, (rest & -rest).bit_length() - 1)
+            rest ^= comp
             out.append(self._from_mask(comp))
         return out
 
@@ -239,32 +279,15 @@ class Graph:
 
     def _mis_masks(self) -> list[int]:
         """``maximal_independent_sets`` as position masks, in the same order."""
-        n = len(self.vertices)
-        adj = self._adj
         out: list[int] = []
 
-        # Bron-Kerbosch with pivoting on the complement graph: maximal
-        # independent sets here are maximal cliques there.
-        full = (1 << n) - 1
-        nonadj = [full & ~(adj[i] | (1 << i)) for i in range(n)]
+        def emit(r: int) -> bool:
+            out.append(r)
+            return len(out) > MIS_ENUMERATION_BOUND
 
-        def expand(r: int, p: int, x: int) -> None:
-            if not p and not x:
-                out.append(r)
-                if len(out) > MIS_ENUMERATION_BOUND:
-                    raise ResourceLimit("maximal independent sets exceed the "
-                                        f"enumeration bound {MIS_ENUMERATION_BOUND}")
-                return
-            pivot = max(_mask_bits(p | x), key=lambda i: (nonadj[i] & p).bit_count())
-            for i in _mask_bits(p & ~nonadj[pivot]):
-                bit = 1 << i
-                expand(r | bit, p & nonadj[i], x & nonadj[i])
-                p &= ~bit
-                x |= bit
-
-        expand(0, full, 0)
-        if n == 0:
-            out = [0]
+        if _mis_walk(self._adj, (1 << len(self.vertices)) - 1, emit):
+            raise ResourceLimit("maximal independent sets exceed the "
+                                f"enumeration bound {MIS_ENUMERATION_BOUND}")
         return _by_position(out)
 
     def minimal_vertex_covers(self) -> list[tuple[str, ...]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .complexes import independence_complex
-from .graph import Graph, ResourceLimit
+from .graph import Graph, GraphError, ResourceLimit, _mask_bits
 from .whisker import PartitionSpec, WhiskeredGraph, build_whiskered
 
 
@@ -27,51 +27,72 @@ class PosetError(ValueError):
 
 
 class FacetPoset:
+    """Facets and base parts are kept as position masks over ``w.graph``;
+    ``facets``, ``base_parts``, ``least`` and ``maximal_elements`` name them
+    on each read."""
+
     def __init__(self, w: WhiskeredGraph):
         if w.kind != "pi":
             raise PosetError("the facet poset is defined for kind=pi builds only")
         self.whiskered = w
         self.complex = independence_complex(w.graph)
         self.whisker_set = w.added
-        facets = list(self.complex.facets)
-        base_parts = [f - w.added for f in facets]
-        if len(set(base_parts)) != len(base_parts):
+        g = w.graph
+        added = g._to_mask(w.added)
+        parts = [f & ~added for f in self.complex._masks]
+        if len(set(parts)) != len(parts):
             raise PosetError("antisymmetry violated: two facets share a base part")
-        order = sorted(range(len(facets)),
-                       key=lambda i: (len(base_parts[i]),
-                                      tuple(sorted(base_parts[i]))))
-        self.facets = [facets[i] for i in order]
-        self.base_parts = [base_parts[i] for i in order]
-        if self.base_parts[0] != frozenset():
+        # a base part sorts by its size, then by its names in string order
+        rank = {i: r for r, i in enumerate(sorted(range(len(g.vertices)),
+                                                  key=lambda i: g.vertices[i]))}
+        order = sorted(range(len(parts)), key=lambda i: (
+            parts[i].bit_count(), sorted(rank[b] for b in _mask_bits(parts[i]))))
+        self._facets = [self.complex._masks[i] for i in order]
+        self._parts = [parts[i] for i in order]
+        if self._parts[0]:
             raise PosetError("least element (the all-whisker facet) is missing")
-        self._index = {bp: i for i, bp in enumerate(self.base_parts)}
+        self._index = {bp: i for i, bp in enumerate(self._parts)}
         # Hasse diagram: covers add exactly one base vertex
-        base = set(w.base.vertices)
+        base = g._to_mask(w.base.vertices)
         self.covers: list[list[int]] = []
-        for small in self.base_parts:
-            ups = (self._index.get(small | {v}) for v in base - small)
+        for small in self._parts:
+            ups = (self._index.get(small | 1 << b) for b in _mask_bits(base & ~small))
             self.covers.append(sorted(j for j in ups if j is not None))
 
     def __len__(self) -> int:
-        return len(self.facets)
+        return len(self._facets)
+
+    def _named(self, mask: int) -> frozenset[str]:
+        return self.whiskered.graph._from_mask(mask)
+
+    @property
+    def facets(self) -> list[frozenset[str]]:
+        return [self._named(m) for m in self._facets]
+
+    @property
+    def base_parts(self) -> list[frozenset[str]]:
+        return [self._named(m) for m in self._parts]
 
     @property
     def least(self) -> frozenset[str]:
-        return self.facets[0]
+        return self._named(self._facets[0])
 
     def le(self, f1: frozenset[str], f2: frozenset[str]) -> bool:
         return f1 - self.whisker_set <= f2 - self.whisker_set
 
     def maximal_elements(self) -> list[frozenset[str]]:
-        return [self.facets[i] for i in range(len(self.facets)) if not self.covers[i]]
+        return [self._named(m) for m, ups in zip(self._facets, self.covers) if not ups]
 
     def interval_stats(self, f: frozenset[str]) -> tuple[int, int]:
         """(size of [W, F], number of maximal chains), by explicit traversal."""
-        f = frozenset(f)
-        top = f - self.whisker_set
-        i = self._index.get(top)
+        names = frozenset(f) - self.whisker_set
+        try:
+            i = self._index.get(self.whiskered.graph._to_mask(names))
+        except GraphError:
+            i = None
         if i is None:
             raise PosetError("not a poset element")
+        top = self._parts[i]
         if self.covers[i]:
             raise PosetError("interval statistics are defined for maximal elements")
         # chains by dynamic programming up the covers; parts below i come first
@@ -79,17 +100,14 @@ class FacetPoset:
         for j in range(i):
             if j in chains:
                 for up in self.covers[j]:
-                    if self.base_parts[up] <= top:
+                    if not self._parts[up] & ~top:
                         chains[up] = chains.get(up, 0) + chains[j]
         return len(chains), chains.get(i, 0)
 
     def to_dot(self) -> str:
-        def label(i: int) -> str:
-            return " ".join(sorted(self.facets[i]))
-
         lines = ["digraph hasse {", "  rankdir=BT;"]
-        for i in range(len(self.facets)):
-            lines.append(f'  n{i} [label="{label(i)}"];')
+        for i, f in enumerate(self.facets):
+            lines.append(f'  n{i} [label="{" ".join(sorted(f))}"];')
         for i, ups in enumerate(self.covers):
             for j in ups:
                 lines.append(f"  n{i} -> n{j};")

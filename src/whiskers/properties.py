@@ -228,7 +228,10 @@ def check_vd_constructions(rng: random.Random, count: int) -> list[str]:
     for t in range(count):
         w = random_build(rng, kinds[t % 4], max_base=6, max_total=12)
         ind = independence_complex(w.graph)
-        if not is_vertex_decomposable(ind).decomposable:
+        verdict = is_vertex_decomposable(ind).decomposable
+        if is_vd_graph(w.graph) != verdict:
+            bad.append(f"instance {t}: graph and facet VD verdicts disagree")
+        if not verdict:
             bad.append(f"instance {t}: {w.kind} build is not vertex decomposable")
             continue
         shed = set(shedding_vertices(ind))
@@ -259,12 +262,13 @@ def check_poset(rng: random.Random, count: int) -> list[str]:
         if not len(p) == direct == count_facets_pi(g, spec) == g.independent_set_count():
             bad.append(f"instance {t}: facet counts disagree across the three routes")
         covered = set()
+        base_parts = p.base_parts
         for f in p.maximal_elements():
             size, chains = p.interval_stats(f)
             r = len(f - p.whisker_set)
             if size != 2 ** r or chains != factorial(r):
                 bad.append(f"instance {t}: interval below {sorted(f)} is not (2^r, r!)")
-            covered.update(i for i, bp in enumerate(p.base_parts)
+            covered.update(i for i, bp in enumerate(base_parts)
                            if bp <= f - p.whisker_set)
         if len(covered) != len(p):
             bad.append(f"instance {t}: intervals below maximal elements miss some facets")

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 
 from whiskers import (SimplicialComplex, VDCertificate, build_whiskered,
                       complete_graph, cycle_graph, default_spec,
-                      independence_complex, path_graph, simplex_on,
-                      trivial_spec)
+                      edgeless_graph, independence_complex, path_graph,
+                      simplex_on, trivial_spec)
+from whiskers import decomposability
 from whiskers.complexes import ComplexError
-from whiskers.decomposability import (ResourceLimit, _split, is_scm_via_dual,
-                                      is_shellable, is_unmixed,
-                                      is_vd_brute_force, is_vd_graph,
-                                      is_vertex_decomposable,
+from whiskers.decomposability import (ResourceLimit, _flag_graph, _split,
+                                      is_scm_via_dual, is_shellable,
+                                      is_unmixed, is_vd_brute_force,
+                                      is_vd_graph, is_vertex_decomposable,
                                       shedding_vertices, verify_certificate)
 from whiskers.fields import GF2, QQ
 from whiskers.randinst import random_build, random_complex_facets, random_graph
@@ -82,11 +84,8 @@ def test_vd_matches_brute_force(c):
         assert verify_certificate(c, cert)
 
 
-@settings(max_examples=120, deadline=None)
-@given(complexes(7))
-def test_shedding_vertices_match_brute_force(c):
-    """The search's memo answers verdicts by facet set, so the shedding
-    lists get their own ground truth: the label-level split and the
+def _brute_shedding(c):
+    """(strong, weak) shedding lists from the label-level split and the
     brute-force oracle on each deletion and link."""
     strong, weak = [], []
     for x in sorted({v for f in c.facets for v in f}, key=str):
@@ -97,8 +96,45 @@ def test_shedding_vertices_match_brute_force(c):
         if all(is_vd_brute_force(SimplicialComplex(c.ambient, part))
                for part in split):
             strong.append(x)
+    return strong, weak
+
+
+def _is_flag(c):
+    """Flag on its support: no minimal nonface has more than two vertices
+    (the one-vertex ones are the ambient vertices outside the support)."""
+    return all(len(m) <= 2 for m in c.minimal_nonfaces())
+
+
+@settings(max_examples=120, deadline=None)
+@given(complexes(7))
+def test_shedding_vertices_match_brute_force(c):
+    """The search's memo answers verdicts by facet set, so the shedding
+    lists get their own ground truth.  A flag complex goes to the graph
+    engine and any other to the facet search, so the route is checked
+    against the minimal nonfaces too."""
+    assert (_flag_graph(c) is not None) == _is_flag(c)
+    strong, weak = _brute_shedding(c)
     assert shedding_vertices(c) == strong
     assert shedding_vertices(c, weak=True) == weak
+
+
+def test_non_flag_complexes_take_the_facet_route():
+    """The boundary of a triangle is the smallest complex that is not flag;
+    with a fourth ambient vertex outside its support it is still not flag,
+    while a flag complex with such a vertex goes to the graph engine."""
+    triangle = [("a", "b"), ("b", "c"), ("a", "c")]
+    cases = [(SimplicialComplex("abc", triangle), False),
+             (SimplicialComplex("abcd", triangle), False),
+             (SimplicialComplex("abcd", triangle + [("c", "d")]), False),
+             (SimplicialComplex("abcde", [("a", "b"), ("b", "c"), ("d",)]), True),
+             (SimplicialComplex("abcd", [("a", "b", "c")]), True),
+             (SimplicialComplex("ab", [()]), True)]
+    for c, flag in cases:
+        assert (_flag_graph(c) is not None) == flag == _is_flag(c)
+        strong, weak = _brute_shedding(c)
+        assert shedding_vertices(c) == strong
+        assert shedding_vertices(c, weak=True) == weak
+    assert shedding_vertices(cases[0][0]) == ["a", "b", "c"]
 
 
 def _cone(c, apex):
@@ -150,11 +186,77 @@ def test_vd_exhaustive_4_vertices():
 
 
 def test_graph_and_complex_vd_agree():
+    """The graph engine against the facet search, which share no code:
+    seeded graphs of up to 12 vertices, some with isolated vertices and
+    some with three or four components."""
     rng = random.Random(17)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.8))
-        assert is_vd_graph(g) == \
+    cases = [random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.8))
+             for _ in range(160)]
+    for t in range(60):
+        parts = [random_graph(rng, rng.randint(1, 3), rng.uniform(0.3, 0.9),
+                              prefix=p) for p in "abcd"[:3 + t % 2]]
+        g = parts[0]
+        for h in parts[1:]:
+            g = g.disjoint_union(h)
+        if t % 3 and len(g.vertices) + t % 3 <= 12:
+            g = g.disjoint_union(edgeless_graph([f"z{i}" for i in range(t % 3)]))
+        cases.append(g)
+    verdicts = set()
+    for g in cases:
+        verdict = is_vd_graph(g)
+        assert verdict == \
             is_vertex_decomposable(independence_complex(g)).decomposable
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert max(len(g.vertices) for g in cases) == 12
+    assert sum(any(g.degree(v) == 0 for v in g.vertices) for g in cases) >= 40
+    assert sum(len(g.components()) >= 3 for g in cases) >= 60
+
+
+def test_flag_shedding_matches_label_reference():
+    """Strong and weak shedding lists of seeded independence complexes,
+    which are flag and so go to the graph engine, against the label-level
+    reference search below and its (beta) test."""
+    rng = random.Random(19)
+    memo = {}
+    for t in range(80):
+        g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.15, 0.7))
+        if t % 4 == 0:
+            g = g.disjoint_union(edgeless_graph(["z"]))
+        c = independence_complex(g)
+        assert _flag_graph(c) is not None
+        facets = frozenset(c.facets)
+        weak = [x for x in sorted({v for f in facets for v in f})
+                if _ref_split(facets, x)[2]]
+        assert shedding_vertices(c) == _ref_shedding(c, memo)
+        assert shedding_vertices(c, weak=True) == weak
+
+
+def test_shedding_on_large_pi_builds():
+    """Every base vertex of a pi build sheds (Woodroofe 2009, Lemma 6) and
+    no whisker vertex satisfies (beta).  Through the facet search, weak
+    mode took about 6 s on C18 and strong mode about 16 s."""
+    for n in (18, 20):
+        g = cycle_graph([f"v{i}" for i in range(n)])
+        c = independence_complex(build_whiskered(g, trivial_spec(g), "pi").graph)
+        start = time.process_time()
+        strong, weak = shedding_vertices(c), shedding_vertices(c, weak=True)
+        assert time.process_time() - start < 3
+        assert strong == weak == sorted(g.vertices)
+
+
+def test_vd_graph_node_budget(monkeypatch):
+    """The engine's work is bounded by VD_GRAPH_NODE_BOUND, with a one-line
+    message that names the bound."""
+    g = cycle_graph([f"v{i}" for i in range(10)])
+    w = build_whiskered(g, trivial_spec(g), "pi")
+    assert is_vd_graph(w.graph)
+    monkeypatch.setattr(decomposability, "VD_GRAPH_NODE_BOUND", 10)
+    message = "^11 graph VD nodes exceeds the graph VD node bound 10$"
+    with pytest.raises(ResourceLimit, match=message):
+        is_vd_graph(w.graph)
+    with pytest.raises(ResourceLimit, match=message):
+        shedding_vertices(independence_complex(w.graph))
 
 
 def test_vd_respects_components():

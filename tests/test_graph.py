@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from whiskers import (Graph, GraphError, ResourceLimit, complete_graph,
                       cycle_graph, default_spec, format_graph, graph_to_dot,
                       path_graph)
-from whiskers.graph import MIS_ENUMERATION_BOUND
+from whiskers.graph import MIS_ENUMERATION_BOUND, _component, _isolated
 from whiskers.randinst import random_graph
 
 from conftest import c6, fresh_copy, seeded_graphs
@@ -142,6 +142,30 @@ def test_components_and_union():
     comps = g.components()
     assert sorted(len(c) for c in comps) == [2, 3]
     assert {"1", "2"} in comps
+
+
+def test_component_and_isolated_masks():
+    """The mask helpers on random vertex subsets U, against a search over
+    names with ``has_edge``; ``components`` partitions U the same way."""
+    rng = random.Random(8)
+    for g in seeded_graphs():
+        for _ in range(4):
+            keep = [v for v in g.vertices if rng.random() < 0.7]
+            u = g._to_mask(keep)
+            assert g._from_mask(_isolated(g._adj, u)) == \
+                {v for v in keep if not any(g.has_edge(v, w) for w in keep)}
+            comps = []
+            for v in keep:
+                comp, todo = {v}, [v]
+                while todo:
+                    a = todo.pop()
+                    new = {b for b in keep if b not in comp and g.has_edge(a, b)}
+                    comp |= new
+                    todo += new
+                assert g._from_mask(_component(g._adj, u, g._require(v))) == comp
+                if comp not in comps:
+                    comps.append(comp)
+            assert g.induce(keep).components() == comps
 
 
 def test_independent_set_counts_small():

@@ -126,8 +126,12 @@ def _seeded_pi_builds():
 
 
 def test_covers_match_pairwise_reference():
+    """Elements sort by base-part size, then by names in string order,
+    which is not the graph's position order for names like x17."""
     for w in _seeded_pi_builds():
         p = FacetPoset(w)
+        assert p.facets == sorted(independence_complex(w.graph).facets,
+                                  key=lambda f: (len(f - w.added), sorted(f - w.added)))
         ref = _pairwise_covers(p)
         assert p.covers == ref
         lines = ["digraph hasse {", "  rankdir=BT;"]
