@@ -6,12 +6,13 @@ Two searches decide vertex decomposability, and they share no code.
 The graph engine `_vd` answers `is_vd_graph`, and `shedding_vertices` on a
 flag complex, which is Ind(H) of the graph H complementing its 1-skeleton.
 It runs on vertex masks over H's adjacency bitsets and lists no maximal
-independent set.  It drops isolated vertices, which are cone points, keys
-its memo by the vertices left, and decides separate components one by one,
-since a join is VD exactly when each part is.  (beta) at x holds at once
-when a neighbour y has N[y] inside N[x]; otherwise `_witness` looks for an
+independent set.  It drops isolated vertices (cone points), keys its memo
+by the vertices left, and decides separate components one by one, as a
+join is VD exactly when each part is.  (beta) at x holds at once when a
+neighbour y has N[y] inside N[x]; otherwise `_witness` looks for an
 independent set outside N[x] that dominates N(x), which exists exactly when
-(beta) fails.  Its work is bounded by VD_GRAPH_NODE_BOUND.
+(beta) fails.  Its work is bounded by VD_GRAPH_NODE_BOUND.  The memo keeps
+its splits, which `ideals.betti_recursive_cover` folds into Betti tables.
 
 The facet search `_search` gives `is_vertex_decomposable` its certificate,
 and `shedding_vertices` its verdicts on a complex that is not flag.  A
@@ -188,7 +189,7 @@ def _search(facets: Collection[int], order: list[int] | None,
 
 
 class _Memo(dict):
-    """`_vd`'s verdicts by vertex mask, and the work spent so far."""
+    """`_vd`'s splits by vertex mask, and the work spent so far."""
 
     __slots__ = ("work",)
 
@@ -203,16 +204,17 @@ class _Memo(dict):
                                 f"VD node bound {VD_GRAPH_NODE_BOUND}")
 
 
-def _vd(adj: tuple[int, ...], u: int, memo: _Memo) -> bool:
-    """Whether Ind(G[u]) is vertex decomposable, on G's adjacency bitsets.
+def _vd(adj: tuple[int, ...], u: int, memo: _Memo) -> int:
+    """The split of Ind(G[u]) recorded in ``memo``, on G's adjacency bitsets.
 
-    An isolated vertex is a cone point, and a cone is VD exactly when its
-    base is, so the memo key is ``u`` without them.  Separate components
-    give a join, which is VD exactly when each part is (Provan-Billera).
-    Otherwise x sheds when Ind(G[u] - x) and Ind(G[u] - N[x]) are VD and
-    (beta) holds.  A neighbour y with N[y] inside N[x] makes (beta) hold at
-    once (Woodroofe 2009, Lemma 6), so such x are tried first, then the
-    rest by descending degree.
+    It is 0 when the complex is not VD, and True when no edge is left.  An
+    isolated vertex is a cone point, and a cone is VD exactly when its base
+    is, so the memo key is ``u`` without them.  Separate components give a
+    join, VD exactly when each part is (Provan-Billera); the split is then
+    the lowest vertex's component.  Otherwise it is the bit of an x where
+    Ind(G[u] - x) and Ind(G[u] - N[x]) are VD and (beta) holds, and a
+    neighbour y with N[y] inside N[x] makes (beta) hold at once (Woodroofe
+    2009, Lemma 6), so such x go first, then the rest by descending degree.
     """
     u &= ~_isolated(adj, u)
     if not u:
@@ -223,9 +225,9 @@ def _vd(adj: tuple[int, ...], u: int, memo: _Memo) -> bool:
     memo.spend()
     comp = _component(adj, u, (u & -u).bit_length() - 1)
     if comp != u:
-        verdict = _vd(adj, comp, memo) and _vd(adj, u ^ comp, memo)
-        memo[u] = verdict
-        return verdict
+        split = comp if _vd(adj, comp, memo) and _vd(adj, u ^ comp, memo) else 0
+        memo[u] = split
+        return split
     closed = {}
     rest = u
     while rest:
@@ -243,17 +245,17 @@ def _vd(adj: tuple[int, ...], u: int, memo: _Memo) -> bool:
             rest ^= low
     trials = sorted(closed, key=lambda i: (not dominated >> i & 1,
                                            -closed[i].bit_count()))
-    verdict = False
+    split = 0
     for x in trials:
         bit = 1 << x
         link = u & ~closed[x]
         if not dominated & bit and _witness(adj, link, adj[x] & u, memo):
             continue
         if _vd(adj, u ^ bit, memo) and _vd(adj, link, memo):
-            verdict = True
+            split = bit
             break
-    memo[u] = verdict
-    return verdict
+    memo[u] = split
+    return split
 
 
 def _witness(adj: tuple[int, ...], avail: int, undominated: int,
@@ -347,7 +349,7 @@ def is_vd_graph(g: Graph) -> bool:
     engine `_vd` on the adjacency bitsets; no maximal independent set is
     listed and no certificate is built.  Raises ResourceLimit past
     VD_GRAPH_NODE_BOUND."""
-    return _vd(g._adj, (1 << len(g.vertices)) - 1, _Memo())
+    return bool(_vd(g._adj, (1 << len(g.vertices)) - 1, _Memo()))
 
 
 def verify_certificate(delta: SimplicialComplex, cert: VDCertificate) -> bool:

@@ -2,9 +2,9 @@
 
 Two independent routes to Betti numbers of cover ideals are provided and
 cross-validated: a homology oracle (Hochster-style sum of reduced homology
-of vertex-subset restrictions) and the structural recursion that splits off
-one base vertex of a whiskered graph at a time, on vertex masks of the
-build.  The recursion's table does not depend on the field.
+of vertex-subset restrictions) and a memoised splitting recursion on vertex
+masks of the build, at base vertices first and then where the graph engine
+`decomposability._vd` splits.  Its table does not depend on the field.
 
 Indexing convention: a BettiTable with module="ideal" resolves the ideal I
 itself, so beta_{i,j}(S/I) = beta_{i-1,j}(I) for i >= 1; module="quotient"
@@ -22,7 +22,8 @@ from typing import Iterable, Iterator
 from .complexes import (SimplicialComplex, _homology_masks, _MaskFamily,
                         _named, _normalise, independence_complex)
 from .fields import GF2, FieldSpec
-from .graph import Graph, ResourceLimit, _by_position, _mask_tuples
+from .decomposability import _Memo, _vd
+from .graph import Graph, ResourceLimit, _by_position, _isolated, _mask_tuples
 from .whisker import WhiskeredGraph, build_whiskered
 
 DEFAULT_ORACLE_AMBIENT_BOUND = 16
@@ -30,9 +31,11 @@ DEFAULT_ORACLE_AMBIENT_BOUND = 16
 # cached masks take about n * 2^n * (n // 8 + 1) bytes, and one 20-variable
 # ideal already peaked at 97 MB.
 ORACLE_AMBIENT_CEILING = 20
-# Calls of the splitting recursion in betti_recursive_cover.  The pi build of
-# C14 takes 1685 and C16 4413; the count grows about 1.6x per base vertex.
+# Distinct subproblems of betti_recursive_cover (the pi build of C100 takes
+# 198).  Its tables key beta_{i,j} by i * _STEP_I + j, j < 2^16: shifts are
+# sums, and int keys give the garbage collector nothing to track.
 RECURSION_NODE_BOUND = 5_000
+_STEP_I = 1 << 16
 
 
 class IdealError(ValueError):
@@ -327,47 +330,52 @@ def betti_oracle(ideal: MonomialIdeal, k: FieldSpec = GF2,
 # -- recursion for cover ideals of whiskered graphs -----------------------------
 
 def betti_recursive_cover(w: WhiskeredGraph, k: FieldSpec = GF2) -> BettiTable:
-    """Betti table of the cover ideal of a pi/cc/mc whiskered graph by the
-    one-vertex splitting recursion.
+    """Betti table of the cover ideal J of a whiskered graph by one memoised
+    splitting rule, on vertex masks over ``w.graph``'s adjacency bitsets.
 
-    Both sides of a split are induced subgraphs of ``w.graph``, so the
-    recursion runs on their vertex masks over ``w.graph``'s adjacency
-    bitsets.  Splitting at the lowest base vertex u still in h (a build puts
-    its base first, in order): the deletion side h - u contributes its cover
-    ideal shifted one degree up; the link side h - N[u] is the smaller cover
-    ideal degree-shifted by deg_h(u) (its generators all carry the removed
-    neighbourhood), contributing at (i, j) and (i-1, j-1).  Once no base
-    vertex is left, every remaining vertex is an isolated whisker vertex
-    (the whisker graphs are edgeless), which lies in no minimal vertex
-    cover, so the leaf is the unit ideal.  No step depends on the field, so
-    neither does the table; ``k`` only labels it.  Raises ResourceLimit
-    after RECURSION_NODE_BOUND calls.
+    At a shedding vertex x with m = |N(x)| left, J(G) = x J(G - x) +
+    m_{N(x)} J(G - N[x]), so the table is the deletion table at (i, j+1)
+    plus the link table at (i, j+m) and (i+1, j+m+1).  A base vertex sheds,
+    as a whisker neighbour y has N[y] inside N[x] (Woodroofe 2009, Lemma 6),
+    so the lowest one left goes first, as in the paper.  Isolated vertices,
+    in no minimal cover, are dropped, so a pi, cc or mc build ends there.
+    An md build leaves its whisker graphs, split where `decomposability._vd`
+    records: at a shed vertex, or into components, whose tables convolve.
+    No step depends on the field; ``k`` only labels the table.  Raises
+    ResourceLimit past RECURSION_NODE_BOUND distinct subproblems, or past
+    VD_GRAPH_NODE_BOUND in ``_vd``.
     """
-    if w.kind not in ("pi", "cc", "mc"):
-        raise IdealError("recursion requires edgeless whisker graphs (pi/cc/mc)")
     adj = w.graph._adj
     base = w.graph._to_mask(w.base.vertices)
-    nodes = 0
+    memo, tables = _Memo(), {0: {0: 1}}  # no edge left: the unit ideal
 
-    def rec(h: int) -> dict[tuple[int, int], int]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > RECURSION_NODE_BOUND:
-            raise ResourceLimit(f"{nodes} recursion nodes exceeds the recursion "
-                                f"node bound {RECURSION_NODE_BOUND}")
-        left = h & base
-        if not left:
-            return {(0, 0): 1}
-        low = left & -left
-        near = adj[low.bit_length() - 1]
-        out = {(i, j + 1): v for (i, j), v in rec(h ^ low).items()}
-        m = (near & h).bit_count()
-        for (i, j), v in rec(h & ~(near | low)).items():
-            for key in ((i, j + m), (i + 1, j + m + 1)):
-                out[key] = out.get(key, 0) + v
-        return out
+    def rec(u: int) -> dict[int, int]:
+        u &= ~_isolated(adj, u)
+        if u in tables:
+            return tables[u]
+        split = u & base & -(u & base) or _vd(adj, u, memo)  # base first
+        if not split:
+            raise IdealError("the graph is not vertex decomposable")
+        if split & (split - 1):  # a component's mask, not a shed vertex's bit
+            table, rest = {}, rec(u ^ split).items()
+            for a, x in rec(split).items():
+                for b, y in rest:
+                    table[a + b] = table.get(a + b, 0) + x * y
+        else:
+            near = adj[split.bit_length() - 1] & u
+            m = near.bit_count()
+            table = {key + 1: v for key, v in rec(u ^ split).items()}
+            for key, v in rec(u & ~(near | split)).items():
+                for at in (key + m, key + _STEP_I + m + 1):
+                    table[at] = table.get(at, 0) + v
+        if len(tables) >= RECURSION_NODE_BOUND:
+            raise ResourceLimit(f"{len(tables) + 1} recursion nodes exceeds the "
+                                f"recursion node bound {RECURSION_NODE_BOUND}")
+        tables[u] = table
+        return table
 
-    return BettiTable(k, rec((1 << len(adj)) - 1), "ideal")
+    return BettiTable(k, {divmod(key, _STEP_I): v for key, v
+                          in rec((1 << len(adj)) - 1).items()}, "ideal")
 
 
 # -- closed formula for pi-builds ------------------------------------------------

@@ -277,9 +277,9 @@ def check_poset(rng: random.Random, count: int) -> list[str]:
 
 def check_betti_recursion(rng: random.Random, count: int) -> list[str]:
     bad = []
-    kinds = ["pi", "cc", "mc"]
+    kinds = ["pi", "cc", "mc", "md"]
     for t in range(count):
-        w = random_build(rng, kinds[t % 3], max_base=5, max_total=10)
+        w = random_build(rng, kinds[t % 4], max_base=5, max_total=10)
         k = QQ if t % 5 == 0 else GF2
         rec_t = betti_recursive_cover(w, k=k)
         ora_t = betti_oracle(ideal_of(w.graph, "cover"), k)

@@ -2,25 +2,29 @@
 
 Ground truth here is a from-scratch Koszul-homology computation written in
 this file: beta_{i,j}(S/I) = dim_k H_i(K(x_1..x_n) (x) S/I)_j.  It shares no
-code with the package's Hochster-style oracle.
+code with the package's Hochster-style oracle.  The paper's unmemoised
+recursion, on vertex names, is a second ground truth for the package's
+memoised one on pi, cc and mc builds.
 """
 
 import random
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, gcd
 
 import pytest
 
-from whiskers import (betti_closed_pi, betti_join, betti_oracle,
+from whiskers import (Graph, betti_closed_pi, betti_join, betti_oracle,
                       betti_recursive_cover, build_whiskered, cycle_graph,
-                      has_linear_resolution, ideal_of, independence_complex,
-                      trivial_spec)
+                      default_spec, has_linear_resolution, ideal_of,
+                      independence_complex, path_graph, trivial_spec)
 from whiskers.fields import GF2, QQ, FieldSpec, rank_modp, rank_rational
 from whiskers.ideals import (HOM_CACHE_BOUND, ORACLE_AMBIENT_CEILING,
                              RECURSION_NODE_BOUND, BettiTable, IdealError,
                              MonomialIdeal, ResourceLimit, _hom_cache,
                              _subset_masks, _subset_tables)
 from whiskers.randinst import random_build, random_graph
+from whiskers.whisker import WhiskeredGraph
 
 from conftest import c6, c6_ears_spec, seeded_graphs
 
@@ -284,27 +288,90 @@ def test_recursion_matches_oracle():
                 == betti_oracle(ideal_of(w.graph, "cover"), k)
 
 
-def test_recursion_rejects_md():
-    rng = random.Random(4)
-    w = random_build(rng, "md", max_base=4, max_total=10)
-    with pytest.raises(IdealError):
-        betti_recursive_cover(w)
+def _binary_recursion(w):
+    """The paper's recursion without a memo, on vertex names: split off the
+    first base vertex left, until only the edgeless whisker graphs of a pi,
+    cc or mc build are left, whose cover ideal is the unit ideal."""
+    g = w.graph
+
+    def rec(h):
+        left = [v for v in w.base.vertices if v in h]
+        if not left:
+            return {(0, 0): 1}
+        x = left[0]
+        near = g.neighbors(x) & h
+        out = {(i, j + 1): v for (i, j), v in rec(h - {x}).items()}
+        m = len(near)
+        for (i, j), v in rec(h - near - {x}).items():
+            for key in ((i, j + m), (i + 1, j + m + 1)):
+                out[key] = out.get(key, 0) + v
+        return out
+
+    return BettiTable(GF2, rec(frozenset(g.vertices)), "ideal")
+
+
+def test_recursion_matches_binary_recursion():
+    """The memoised fold against the unmemoised recursion on seeded pi, cc
+    and mc builds of up to 20 vertices and the pi builds of C3-C16."""
+    rng = random.Random(43)
+    builds = [random_build(rng, ["pi", "cc", "mc"][t % 3], max_base=8,
+                           max_total=20) for t in range(90)]
+    for n in range(3, 17):
+        g = cycle_graph([f"v{i}" for i in range(n)])
+        builds.append(build_whiskered(g, trivial_spec(g), "pi"))
+    for w in builds:
+        assert betti_recursive_cover(w) == _binary_recursion(w), w.graph
+
+
+def _has_whisker_edges(w):
+    """Whether an edge of the build joins two whisker vertices, so that the
+    recursion goes on past the base vertices."""
+    return any(set(e) <= w.added for e in w.graph.edges)
+
+
+def test_recursion_matches_oracle_on_md():
+    """md builds of each size from 6 to 16 vertices, three of each, over F2,
+    F3 and QQ in turn; about half of them have whisker graphs with edges.
+    The first is C6 with three ear cliques and the paths a1.1 - a1.2 - a1.3
+    and a2.1 - a2.2 - a2.3 as A1 and A2, whose tables convolve once the base
+    is gone."""
+    rng = random.Random(47)
+    fields = (GF2, FieldSpec(3), QQ)
+    g = c6()
+    paths = {i: path_graph([f"a{i + 1}.{t}" for t in (1, 2, 3)]) for i in (0, 1)}
+    spec = default_spec(g, c6_ears_spec(g).cliques, a_sizes=[3, 3, 1],
+                        a_graphs=paths)
+    builds = [build_whiskered(g, spec, "md")]
+    for n in range(6, 17):
+        while len(builds) < 3 * (n - 5) + 1:
+            w = random_build(rng, "md", max_base=6, max_total=n)
+            if len(w.graph) == n:
+                builds.append(w)
+    assert sum(map(_has_whisker_edges, builds)) >= 16
+    for t, w in enumerate(builds):
+        k = fields[t % 3]
+        assert betti_recursive_cover(w, k=k) \
+            == betti_oracle(ideal_of(w.graph, "cover"), k), w.graph
 
 
 def _independent_set_sizes(g):
-    """i_s(G) for every s, by walking all independent sets."""
+    """i_s(G) for every s, by i(G) = i(G - v) + t i(G - N[v]) at the first
+    vertex v left, memoised on the vertices left."""
     pos = {v: b for b, v in enumerate(g.vertices)}
-    adj = [sum(1 << pos[u] for u in g.neighbors(v)) for v in g.vertices]
-    counts = [0] * (len(adj) + 1)
+    closed = [sum(1 << pos[u] for u in g.neighbors(v)) | 1 << pos[v]
+              for v in g.vertices]
 
-    def walk(start, blocked, size):
-        counts[size] += 1
-        for b in range(start, len(adj)):
-            if not blocked >> b & 1:
-                walk(b + 1, blocked | adj[b], size + 1)
+    @cache
+    def count(left):
+        if not left:
+            return (1,)
+        low = left & -left
+        out = [*count(left ^ low), 0]
+        for s, c in enumerate(count(left & ~closed[low.bit_length() - 1])):
+            out[s + 1] += c
+        return tuple(out)
 
-    walk(0, 0, 0)
-    return counts
+    return list(count((1 << len(closed)) - 1))
 
 
 def _k_polynomial(table):
@@ -344,23 +411,80 @@ def test_recursion_k_polynomial_past_oracle_bound():
             len(w.graph), _independent_set_sizes(w.graph)), w.graph
 
 
+def test_recursion_k_polynomial_on_large_md_builds():
+    """md builds of each size from 17 to 30 vertices, past the oracle's
+    bound."""
+    rng = random.Random(53)
+    builds = []
+    for n in range(17, 31):
+        while len(builds) < n - 16:
+            w = random_build(rng, "md", max_base=10, max_total=n)
+            if len(w.graph) == n:
+                builds.append(w)
+    assert sum(map(_has_whisker_edges, builds)) >= 12
+    for w in builds:
+        assert _k_polynomial(betti_recursive_cover(w)) == _cover_k_polynomial(
+            len(w.graph), _independent_set_sizes(w.graph)), w.graph
+
+
+def _cycle_independent_sets(n):
+    """i_t(C_n) for every t by a DP along the cycle.  An independent set of
+    a path leaves its last vertex out, or holds it and leaves the one before
+    out.  One of C_n leaves v0 out (a path on n - 1 vertices), or holds v0
+    and leaves both its neighbours out (a path on n - 3)."""
+    paths = [[1] + [0] * n, [1, 1] + [0] * (n - 1)]  # on 0 and 1 vertices
+    for _ in range(n - 2):
+        paths.append([a + (paths[-2][t - 1] if t else 0)
+                      for t, a in enumerate(paths[-1])])
+    return [a + (paths[n - 3][t - 1] if t else 0)
+            for t, a in enumerate(paths[n - 1])]
+
+
+def test_recursion_on_whiskered_cycles():
+    """The pi builds of C3-C60, up to 120 vertices.  A pi build is
+    Cohen-Macaulay, so its cover ideal has a linear resolution: every entry
+    lies at j = i + n, and the K-polynomial fixes each of them.  An
+    independent set of the build is one of C_n, of size t, plus any of the
+    n - t whiskers off it."""
+    for n in range(3, 61):
+        g = cycle_graph([f"v{i}" for i in range(n)])
+        table = betti_recursive_cover(build_whiskered(g, trivial_spec(g), "pi"))
+        assert all(j == i + n for i, j in table.entries), n
+        cycle = _cycle_independent_sets(n)
+        sizes = [sum(cycle[t] * comb(n - t, s - t) for t in range(min(s, n) + 1))
+                 for s in range(2 * n + 1)]
+        assert _k_polynomial(table) == _cover_k_polynomial(2 * n, sizes), n
+
+
 def test_recursion_node_bound_edge():
-    """The pi build of C16 fits in RECURSION_NODE_BOUND calls (4413) and
-    passes the K-polynomial check; the pi build of C17 goes over.  An
-    independent set of size s in the build is one of size t in C16 plus any
-    s - t of the 16 - t whiskers off it, which gives i_s from C16's counts."""
-    c16, c17 = (cycle_graph([f"v{i}" for i in range(n)]) for n in (16, 17))
+    """The pi build of C16 passes the K-polynomial check well inside
+    RECURSION_NODE_BOUND distinct subproblems.  The pi build of a dense
+    random graph on 60 vertices goes over: its base vertices leave too many
+    distinct induced subgraphs.  An independent set of size s in the C16
+    build is one of size t in C16 plus any s - t of the 16 - t whiskers off
+    it, which gives i_s from C16's counts."""
+    c16 = cycle_graph([f"v{i}" for i in range(16)])
     base = _independent_set_sizes(c16)
     sizes = [sum(base[t] * comb(16 - t, s - t) for t in range(min(s, 16) + 1))
              for s in range(33)]
     w = build_whiskered(c16, trivial_spec(c16), "pi")
     assert _k_polynomial(betti_recursive_cover(w)) \
         == _cover_k_polynomial(32, sizes)
+    dense = random_graph(random.Random(1), 60, 0.2)
     with pytest.raises(ResourceLimit,
                        match=f"^{RECURSION_NODE_BOUND + 1} recursion nodes "
                              f"exceeds the recursion node bound "
                              f"{RECURSION_NODE_BOUND}$"):
-        betti_recursive_cover(build_whiskered(c17, trivial_spec(c17), "pi"))
+        betti_recursive_cover(build_whiskered(dense, trivial_spec(dense), "pi"))
+
+
+def test_recursion_refuses_a_graph_that_is_not_vd():
+    """A WhiskeredGraph made by hand around C4, whose independence complex
+    is two disjoint edges, has no split to fold."""
+    w = WhiskeredGraph(cycle_graph(list("abcd")), Graph(), None, "md",
+                       frozenset("abcd"))
+    with pytest.raises(IdealError, match="not vertex decomposable"):
+        betti_recursive_cover(w)
 
 
 def _face_sizes(n, adj, cover):

@@ -21,7 +21,7 @@ from whiskers.fields import FieldSpec
 from whiskers.graph import MIS_ENUMERATION_BOUND
 from whiskers.ideals import ORACLE_AMBIENT_CEILING
 from whiskers.io import ParseError
-from whiskers.randinst import random_complex_facets, random_instance
+from whiskers.randinst import random_complex_facets, random_graph, random_instance
 from whiskers.whisker import KINDS
 
 from conftest import c6
@@ -202,10 +202,15 @@ def test_cli_facets_skips_inclusion_exclusion_over_budget(files):
 
 
 def test_cli_betti_recursion_node_budget(files, capsys):
-    graph, part = _write_pi_cycle(files, 30)
+    """The pi build of a dense random graph on 60 vertices has more distinct
+    subproblems than the recursion's budget allows."""
+    g = random_graph(random.Random(1), 60, 0.2)
+    graph, part = files / "dense.graph", files / "dense.part"
+    graph.write_text(format_graph(g))
+    part.write_text(format_partition(trivial_spec(g)))
     start = time.perf_counter()
-    code, text = run_cli("betti", "--graph", graph, "--partition", part,
-                         "--method", "recursive")
+    code, text = run_cli("betti", "--graph", str(graph), "--partition",
+                         str(part), "--method", "recursive")
     assert time.perf_counter() - start < 1
     assert code == 3 and text == ""
     assert capsys.readouterr().err.startswith("resource limit: ")
@@ -419,17 +424,22 @@ def _complex_text(draw):
 
 
 @st.composite
+def _instance_texts(draw):
+    """Graph and partition text of a valid seeded instance of a drawn kind."""
+    g, spec = random_instance(random.Random(draw(st.integers(0, 2**16))),
+                              draw(st.sampled_from(KINDS)),
+                              max_base=6, max_total=10)
+    return format_graph(g), format_partition(spec)
+
+
+@st.composite
 def _build_texts(draw):
     """Graph and partition text.  One pair in four is a valid seeded
-    instance of a drawn kind, so that betti --method both gets to compare;
-    of the others, two partitions in three start with one clique per named
-    vertex, so that many builds get past validation."""
+    instance; of the others, two partitions in three start with one clique
+    per named vertex, so that many builds get past validation."""
     mode = draw(st.integers(0, 3))
     if mode == 3:
-        g, spec = random_instance(random.Random(draw(st.integers(0, 2**16))),
-                                  draw(st.sampled_from(KINDS)),
-                                  max_base=6, max_total=10)
-        return format_graph(g), format_partition(spec)
+        return draw(_instance_texts())
     lines = draw(st.lists(_GRAPH_LINE, min_size=1, max_size=12))
     part = draw(st.lists(_PARTITION_LINE, max_size=12)) if mode != 1 else []
     if mode:
@@ -444,16 +454,18 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(texts=_build_texts(), cx=_complex_text(),
+@given(texts=_build_texts(), instance=_instance_texts(), cx=_complex_text(),
        command=st.sampled_from(range(12)), flags=_FLAGS, betti_flags=_BETTI_FLAGS,
        both_flags=_BOTH_FLAGS)
-def test_cli_run_fuzz(fuzz_dir, texts, cx, command, flags, betti_flags, both_flags):
+def test_cli_run_fuzz(fuzz_dir, texts, instance, cx, command, flags, betti_flags,
+                      both_flags):
     """Complex, graph and partition text with random flags: every run ends
     with exit 0, 1, 2 or 3 and raises nothing, a run that exits 2 or 3
     writes one stderr line, and betti --method both never finds the oracle
     and the recursion apart (exit 1).  The last command is the cross-check,
-    drawn only with flags that let it compare."""
-    graph, part = texts
+    drawn only on seeded instances of the four kinds and with flags that
+    let it compare."""
+    graph, part = instance if command == 11 else texts
     paths = {}
     for name, text in (("g.graph", graph), ("p.part", part), ("c.cx", cx)):
         (fuzz_dir / name).write_text(text, encoding="utf-8")
