@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
-from .fields import QQ, FieldSpec, rank_gf2, rank_modp, rank_rational
+from .fields import QQ, FieldSpec, _rank, rank_gf2
 from .graph import Graph, _by_position, _close_up, _mask_bits, _mask_tuples
 
 
@@ -293,9 +293,10 @@ def _homology_masks(faces: Iterable[int], k: FieldSpec) -> dict[int, int]:
     Each boundary C_d -> C_{d-1} is built column by column, one column per
     d-face, by a lowest-bit loop over the face: over F2 a bitmask of its
     facets' row indices for ``rank_gf2``, over any other field a sparse
-    {row index: +-1} dict of its d+1 entries, handed as one row of the
-    transpose to ``rank_modp`` or ``rank_rational``.  Faces are indexed in
-    the order they arrive; a rank does not depend on it.
+    {row index: +-1} dict of its d+1 entries (-1 written as p - 1 over F_p),
+    handed as one row of the transpose to ``fields._rank``, which consumes
+    these fresh columns.  Faces are indexed in the order they arrive; a rank
+    does not depend on it.
     """
     by_dim: dict[int, list[int]] = {}
     for m in faces:
@@ -305,6 +306,7 @@ def _homology_masks(faces: Iterable[int], k: FieldSpec) -> dict[int, int]:
         return {-1: 1}
     ranks: dict[int, int] = {}  # rank of boundary C_d -> C_{d-1}
     rows = {0: 0}  # the (d-1)-faces by index
+    neg = 0 if k.is_rational else k.p  # sign -> neg - sign flips it
     for d in range(0, top + 1):
         cols = []
         for m in by_dim[d]:
@@ -320,13 +322,13 @@ def _homology_masks(faces: Iterable[int], k: FieldSpec) -> dict[int, int]:
                 while rest:
                     low = rest & -rest
                     c[rows[m ^ low]] = sign
-                    sign = -sign
+                    sign = neg - sign
                     rest ^= low
             cols.append(c)
         if k.p == 2:
             ranks[d] = rank_gf2(cols)
         else:
-            ranks[d] = rank_rational(cols) if k.is_rational else rank_modp(cols, k.p)
+            ranks[d] = _rank(cols, k.p)
         rows = {m: i for i, m in enumerate(by_dim[d])}
     ranks[top + 1] = 0
     return {d: len(by_dim.get(d, ())) - ranks.get(d, 0) - ranks[d + 1]

@@ -81,23 +81,19 @@ def rank_gf2(columns: list[int]) -> int:
 def _rank(rows: list[dict[int, int]], p: int | None) -> int:
     """Rank over F_p, or over the rationals when p is None.
 
-    Sparse forward elimination on Python ints: each row is a {col: value}
-    dict of its nonzero entries, copied on entry, so the caller's rows are
-    left alone.  The shortest remaining row is the pivot, which keeps
-    fill-in low on boundary matrices; its column is cleared from the other
-    rows and the pivot row is dropped.  Over F_p entries are reduced mod p
-    and a row is cleared with the pivot's inverse.  Over the rationals a
-    +-1 pivot clears a row with an integer multiple of itself; any other
-    pivot first scales the row by the lead, and the row is then divided by
-    its content (the gcd of its entries), which keeps entries small.  A rank
-    needs no back substitution and no unit pivots, so neither is done.
+    Sparse forward elimination on Python ints: each row is a nonempty
+    {col: value} dict of its nonzero entries, already reduced mod p over
+    F_p, and the rows are consumed.  The shortest remaining row is the
+    pivot, which keeps fill-in low on boundary matrices; its column is
+    cleared from the other rows and the pivot row is dropped.  Over F_p a
+    row is cleared with the pivot's inverse and its entries stay reduced.
+    Over the rationals a +-1 pivot clears a row with an integer multiple of
+    itself; any other pivot first scales the row by the lead, and the row is
+    then divided by its content (the gcd of its entries), which keeps entries
+    small.  A rank needs no back substitution and no unit pivots, so neither
+    is done.
     """
-    if p is None:
-        work = [{j: x for j, x in r.items() if x} for r in rows]
-    else:
-        work = [{j: x % p for j, x in r.items() if x % p} for r in rows]
-    work = [r for r in work if r]
-    rank = 0
+    work, rank = rows, 0
     while work:
         pivot = min(work, key=len)
         rank += 1
@@ -138,11 +134,13 @@ def _rank(rows: list[dict[int, int]], p: int | None) -> int:
 
 def rank_modp(rows: list[dict[int, int]], p: int) -> int:
     """Rank over F_p of an integer matrix given as sparse rows, one
-    {col: value} dict of nonzero entries per row."""
-    return _rank(rows, p)
+    {col: value} dict of nonzero entries per row, which are left alone."""
+    work = ({j: x % p for j, x in r.items() if x % p} for r in rows)
+    return _rank([r for r in work if r], p)
 
 
 def rank_rational(rows: list[dict[int, int]]) -> int:
     """Rank over the rationals of an integer matrix given as sparse rows,
-    one {col: value} dict of nonzero entries per row."""
-    return _rank(rows, None)
+    one {col: value} dict of nonzero entries per row, which are left alone."""
+    work = ({j: x for j, x in r.items() if x} for r in rows)
+    return _rank([r for r in work if r], None)

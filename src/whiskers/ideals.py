@@ -166,7 +166,7 @@ def betti_join(t1: BettiTable, t2: BettiTable) -> BettiTable:
 # -- the homology oracle -------------------------------------------------------
 
 # Homology by face list and field.  A pass of the scm benchmark workload
-# fills 3-4k entries; a cache that reaches the bound is cleared and starts
+# fills 2-3k entries; a cache that reaches the bound is cleared and starts
 # over.
 HOM_CACHE_BOUND = 1 << 16
 _hom_cache: dict[tuple, dict[int, int]] = {}
@@ -216,30 +216,35 @@ def _restriction_homology(w: int, nonface: bytes, faces: int,
     The faces of the Alexander dual inside W are the S whose complement
     W - S is a nonface, so the two counts add up to 2^|W|; the smaller
     family is walked (the faces on a tie), and a dual result is read through
-    H~_i(D) = H~_{|W|-i-3}(D^dual).  Both families are closed under subsets,
-    so adding the bits of W in increasing order from the empty set reaches
-    every member.  Faces are kept in W's own numbering, which makes the list
-    a cache key for every W with the same complex.
+    H~_i(D) = H~_{|W|-i-3}(D^dual), where |W| counts every vertex of W.
+    Only the family's support is numbered: the bits b of W with {b} in the
+    family.  Both families are closed under subsets, so the walk goes level
+    by level, one face size at a time, from the empty set, adding support
+    bits in increasing order; on the dual side it holds the complement
+    W - S and clears them instead.  The order depends only on the family, so
+    the list is a cache key for every W whose family is the same complex,
+    whatever vertices of W lie in none of its faces.
     """
-    w_bits = []
+    nw = w.bit_count()
+    dual = 2 * faces > 1 << nw
+    bits = []
     rest = w
     while rest:
         low = rest & -rest
-        w_bits.append(low)
         rest ^= low
-    nw = len(w_bits)
-    dual = 2 * faces > 1 << nw
-    found: list[int] = []
-
-    def walk(s: int, local: int, start: int) -> None:
-        found.append(local)
-        for i in range(start, nw):
-            t = s | w_bits[i]
-            if nonface[w ^ t] if dual else not nonface[t]:
-                walk(t, local | 1 << i, i + 1)
-
-    walk(0, 0, 0)
-    # the walk's order depends only on the family, so the list is canonical
+        if nonface[w ^ low] if dual else not nonface[low]:
+            bits.append(low)
+    found = [0]
+    level = [(w if dual else 0, 0, 0)]
+    while level:
+        grown = []
+        for s, local, start in level:
+            for i in range(start, len(bits)):
+                t = s ^ bits[i]
+                if nonface[t] if dual else not nonface[t]:
+                    found.append(local | 1 << i)
+                    grown.append((t, local | 1 << i, i + 1))
+        level = grown
     key = (tuple(found), k.p)
     hit = _hom_cache.get(key)
     if hit is None:

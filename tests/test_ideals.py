@@ -14,10 +14,10 @@ from math import comb, gcd
 
 import pytest
 
-from whiskers import (Graph, betti_closed_pi, betti_join, betti_oracle,
-                      betti_recursive_cover, build_whiskered, cycle_graph,
-                      default_spec, has_linear_resolution, ideal_of,
-                      independence_complex, path_graph, trivial_spec)
+from whiskers import (Graph, SimplicialComplex, betti_closed_pi, betti_join,
+                      betti_oracle, betti_recursive_cover, build_whiskered,
+                      cycle_graph, default_spec, has_linear_resolution,
+                      ideal_of, independence_complex, path_graph, trivial_spec)
 from whiskers.fields import GF2, QQ, FieldSpec, rank_modp, rank_rational
 from whiskers.ideals import (HOM_CACHE_BOUND, ORACLE_AMBIENT_CEILING,
                              RECURSION_NODE_BOUND, BettiTable, IdealError,
@@ -74,8 +74,36 @@ def _rank_q(rows):
     return rank
 
 
+def _rank_p(rows, p):
+    """Rank over F_p by sparse elimination, as _rank_q does over QQ: a row
+    is cleared with the pivot times its entry over the pivot's."""
+    work = [{c: x % p for c, x in enumerate(r) if x % p} for r in rows]
+    work = [r for r in work if r]
+    rank = 0
+    while work:
+        col = min(min(r) for r in work)
+        pivot = next(r for r in work if col in r)
+        rank += 1
+        inv = pow(pivot[col], -1, p)
+        rest = []
+        for r in work:
+            if r is pivot:
+                continue
+            b = r.get(col)
+            if b is not None:
+                f = b * inv % p
+                r = {c: (r.get(c, 0) - f * pivot.get(c, 0)) % p
+                     for c in r.keys() | pivot.keys()}
+                r = {c: x for c, x in r.items() if x}
+            if r:
+                rest.append(r)
+        work = rest
+    return rank
+
+
 def koszul_betti(ideal, p):
-    """{(i, j): beta_{i,j}(S/I)} for the quotient, j up to the variable count."""
+    """{(i, j): beta_{i,j}(S/I)} for the quotient over F_p, or over QQ when
+    p is 0, j up to the variable count."""
     n = len(ideal.ambient)
     gens = [sum(1 << t for t, v in enumerate(ideal.ambient) if v in g)
             for g in ideal.generator_tuples()]
@@ -111,18 +139,20 @@ def koszul_betti(ideal, p):
         index = {b: a for a, b in enumerate(cod)}
         rows = []
         for T, u in dom:
-            row = [0] * len(cod) if p == 0 else 0
+            row = 0 if p == 2 else [0] * len(cod)
             for sign_pos, t in enumerate(T):
                 xu = tuple(e + (1 if s == t else 0) for s, e in enumerate(u))
                 if in_ideal(xu):
                     continue
                 a = index[(tuple(x for x in T if x != t), xu)]
-                if p == 0:
-                    row[a] += (-1) ** sign_pos
-                else:
+                if p == 2:
                     row ^= 1 << a
+                else:
+                    row[a] += (-1) ** sign_pos
             rows.append(row)
-        return _rank_gf2(rows) if p else _rank_q(rows)
+        if p == 2:
+            return _rank_gf2(rows)
+        return _rank_p(rows, p) if p else _rank_q(rows)
 
     out = {}
     for j in range(0, n + 1):
@@ -654,6 +684,83 @@ def test_hom_cache_is_bounded():
     assert betti_oracle(ideal, GF2) == want
     assert 0 < len(_hom_cache) < HOM_CACHE_BOUND
     assert not any(key[0] == "filler" for key in _hom_cache)
+
+
+def test_hom_cache_keeps_fields_apart():
+    """The Stanley-Reisner ring of the 6-vertex RP^2 has 2-torsion in its
+    homology, so its F2 and QQ tables differ.  One warm cache serves both
+    fields in turn, and each table still equals the Koszul one."""
+    rp2 = SimplicialComplex("123456", [
+        "123", "134", "145", "156", "126", "235", "245", "246", "346", "356"])
+    ideal = ideal_of(rp2, "stanley-reisner")
+    want = {p: koszul_betti(ideal, p) for p in (2, 0)}
+    assert want[2] != want[0]
+    _hom_cache.clear()
+    for field in (GF2, QQ, GF2):
+        got = betti_oracle(ideal, field).as_quotient().entries
+        assert got == want[field.p or 0], field
+
+
+def _walked_families(ideal) -> tuple[int, int]:
+    """(restrictions the oracle walks, distinct complexes among them).
+
+    Per contributing W, the family walked is the restriction's faces or,
+    when they are more than half the subsets of W, the Alexander dual's
+    (the S with W - S a nonface).  Two families count once when they are
+    the same complex after each is renumbered over its own support."""
+    walked, seen = 0, set()
+    for w in range(1, 1 << len(ideal.ambient)):
+        inside = [g for g in ideal._masks if g & w == g]
+        if sum(1 << b for b in range(w.bit_length())
+               if any(g >> b & 1 for g in inside)) != w:
+            continue  # a cone point: the restriction is acyclic
+        walked += 1
+        subsets = [s for s in range(w + 1) if s & w == s]
+        faces = {s for s in subsets if not any(g & s == g for g in inside)}
+        if 2 * len(faces) > len(subsets):
+            faces = {w ^ s for s in subsets if s not in faces}
+        support = [b for b in range(w.bit_length())
+                   if any(s >> b & 1 for s in faces)]
+        seen.add(frozenset(sum(1 << i for i, b in enumerate(support)
+                               if s >> b & 1) for s in faces))
+    return walked, len(seen)
+
+
+def test_hom_cache_shares_entries_across_ghost_vertices():
+    """A vertex of W in none of the walked faces does not split the cache:
+    the variable of a degree-1 generator is one on the restriction's side,
+    and cover ideals have them on the Alexander dual's.  On one warm cache
+    every table over F2, F3 and QQ equals the Koszul one; from a cleared
+    cache each ideal leaves one entry per distinct complex walked."""
+    rng = random.Random(18)
+    ideals = []
+    for _ in range(8):
+        amb = [f"x{t + 1}" for t in range(rng.randint(4, 5))]
+        ghosts = rng.sample(amb, 2)
+        rest = [v for v in amb if v not in ghosts]
+        gens = [(v,) for v in ghosts]
+        gens += [tuple(rng.sample(rest, rng.randint(2, len(rest))))
+                 for _ in range(rng.randint(1, len(rest)))]
+        ideals.append(MonomialIdeal(amb, gens))
+    for _ in range(8):
+        g = random_graph(rng, rng.randint(3, 5), rng.uniform(0.3, 0.7))
+        ideals.append(ideal_of(g, "cover"))
+    _hom_cache.clear()
+    for ideal in ideals:
+        for field in (GF2, FieldSpec(3), QQ):
+            got = betti_oracle(ideal, field).as_quotient().entries
+            assert got == koszul_betti(ideal, field.p or 0), \
+                (ideal.generator_tuples(), field)
+    for ideal in ideals:
+        _hom_cache.clear()
+        betti_oracle(ideal, GF2)
+        assert len(_hom_cache) == _walked_families(ideal)[1], \
+            ideal.generator_tuples()
+    # the cover ideal of C5 walks 11 restrictions, all copies of 3 complexes
+    _hom_cache.clear()
+    c5 = ideal_of(cycle_graph(list("abcde")), "cover")
+    betti_oracle(c5, GF2)
+    assert len(_hom_cache) == 3 < _walked_families(c5)[0] == 11
 
 
 def test_tsv_output():
