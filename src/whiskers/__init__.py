@@ -4,11 +4,11 @@ and graded Betti numbers of cover ideals."""
 from .complexes import (ComplexError, SimplicialComplex, independence_complex,
                         simplex_on)
 from .decomposability import (VDCertificate, is_scm_via_dual, is_shellable,
-                              is_unmixed, is_vd_graph, is_vertex_decomposable,
+                              is_unmixed, is_vertex_decomposable,
                               shedding_vertices, verify_certificate)
 from .fields import GF2, QQ, FieldSpec
 from .graph import (Graph, GraphError, ResourceLimit, complete_graph,
-                    cycle_graph, edgeless_graph, path_graph)
+                    cycle_graph, edgeless_graph, is_vd_graph, path_graph)
 from .ideals import (BettiTable, IdealError, MonomialIdeal, betti_closed_pi,
                      betti_join, betti_oracle, betti_recursive_cover,
                      has_linear_resolution, ideal_of)

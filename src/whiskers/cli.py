@@ -130,6 +130,11 @@ def cmd_betti(args, out) -> int:
 
 
 def cmd_properties(args, out) -> int:
+    if args.count < 1:
+        raise ParseError(f"--count {args.count} is below 1")
+    if args.count > prop_suites.COUNT_BOUND:
+        raise ResourceLimit(f"--count {args.count} exceeds the property count "
+                            f"bound {prop_suites.COUNT_BOUND}")
     failures = 0
     for name, fn in prop_suites.CHECKS.items():
         bad = fn(random.Random(f"{args.seed}:{name}"), args.count)

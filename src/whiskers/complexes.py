@@ -136,9 +136,6 @@ class SimplicialComplex(_MaskFamily):
     def support(self) -> frozenset[str]:
         return _named(self.ambient, [reduce(int.__or__, self._masks, 0)])[0]
 
-    def faces(self) -> set[frozenset[str]]:
-        return set(_named(self.ambient, self._face_masks()))
-
     def _face_masks(self) -> set[int]:
         return {s for m in self._masks for s in _subsets_of(m)}
 

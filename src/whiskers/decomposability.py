@@ -1,18 +1,10 @@
 """Vertex decomposability certificates, shedding vertices, shellability,
 unmixedness, and the componentwise-linear-dual criterion.
 
-Two searches decide vertex decomposability, and they share no code.
-
-The graph engine `_vd` answers `is_vd_graph`, and `shedding_vertices` on a
-flag complex, which is Ind(H) of the graph H complementing its 1-skeleton.
-It runs on vertex masks over H's adjacency bitsets and lists no maximal
-independent set.  It drops isolated vertices (cone points), keys its memo
-by the vertices left, and decides separate components one by one, as a
-join is VD exactly when each part is.  (beta) at x holds at once when a
-neighbour y has N[y] inside N[x]; otherwise `_witness` looks for an
-independent set outside N[x] that dominates N(x), which exists exactly when
-(beta) fails.  Its work is bounded by VD_GRAPH_NODE_BOUND.  The memo keeps
-its splits, which `ideals.betti_recursive_cover` folds into Betti tables.
+Two searches decide vertex decomposability, and they share no code.  The
+graph engine of `graph` answers `is_vd_graph`, re-exported here, and
+`shedding_vertices` on a flag complex Ind(H): only `_flag_graph` reads its
+facets, and the engine decides (beta), the deletion and the link on H.
 
 The facet search `_search` gives `is_vertex_decomposable` its certificate,
 and `shedding_vertices` its verdicts on a complex that is not flag.  A
@@ -57,16 +49,12 @@ from typing import Collection
 
 from .complexes import ComplexError, SimplicialComplex
 from .fields import GF2, FieldSpec
-from .graph import (Graph, ResourceLimit, _by_position, _component, _isolated,
-                    _mask_bits, _mis_walk)
+from .graph import (Graph, ResourceLimit, _by_position, _mask_bits, _Memo,
+                    _mis_walk, _vd, _witness, is_vd_graph)
+from .ideals import MonomialIdeal, has_linear_resolution
 
 DEFAULT_SHELLING_FACET_BOUND = 12
 DEFAULT_SCM_AMBIENT_BOUND = 14
-# Work one graph-level VD verdict or shedding list may take: engine nodes
-# (distinct vertex sets) plus witness branches.  The tests, the property
-# suites and the benchmark's inputs take at most about 2,600; a unit costs
-# 2-80 us on a 2-vCPU Xeon with Python 3.11, so the bound is a few seconds.
-VD_GRAPH_NODE_BOUND = 1 << 17
 
 
 # A certificate tree is either ("simplex",) or ("shed", v, del_tree, lk_tree).
@@ -188,109 +176,6 @@ def _search(facets: Collection[int], order: list[int] | None,
     return tree
 
 
-class _Memo(dict):
-    """`_vd`'s splits by vertex mask, and the work spent so far."""
-
-    __slots__ = ("work",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.work = 0
-
-    def spend(self) -> None:
-        self.work += 1
-        if self.work > VD_GRAPH_NODE_BOUND:
-            raise ResourceLimit(f"{self.work} graph VD nodes exceeds the graph "
-                                f"VD node bound {VD_GRAPH_NODE_BOUND}")
-
-
-def _vd(adj: tuple[int, ...], u: int, memo: _Memo) -> int:
-    """The split of Ind(G[u]) recorded in ``memo``, on G's adjacency bitsets.
-
-    It is 0 when the complex is not VD, and True when no edge is left.  An
-    isolated vertex is a cone point, and a cone is VD exactly when its base
-    is, so the memo key is ``u`` without them.  Separate components give a
-    join, VD exactly when each part is (Provan-Billera); the split is then
-    the lowest vertex's component.  Otherwise it is the bit of an x where
-    Ind(G[u] - x) and Ind(G[u] - N[x]) are VD and (beta) holds, and a
-    neighbour y with N[y] inside N[x] makes (beta) hold at once (Woodroofe
-    2009, Lemma 6), so such x go first, then the rest by descending degree.
-    """
-    u &= ~_isolated(adj, u)
-    if not u:
-        return True
-    known = memo.get(u)
-    if known is not None:
-        return known
-    memo.spend()
-    comp = _component(adj, u, (u & -u).bit_length() - 1)
-    if comp != u:
-        split = comp if _vd(adj, comp, memo) and _vd(adj, u ^ comp, memo) else 0
-        memo[u] = split
-        return split
-    closed = {}
-    rest = u
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        closed[i] = adj[i] & u | low
-        rest ^= low
-    dominated = 0  # the x with a neighbour y such that N[y] lies in N[x]
-    for y, near in closed.items():
-        rest = near ^ 1 << y
-        while rest:
-            low = rest & -rest
-            if not near & ~closed[low.bit_length() - 1]:
-                dominated |= low
-            rest ^= low
-    trials = sorted(closed, key=lambda i: (not dominated >> i & 1,
-                                           -closed[i].bit_count()))
-    split = 0
-    for x in trials:
-        bit = 1 << x
-        link = u & ~closed[x]
-        if not dominated & bit and _witness(adj, link, adj[x] & u, memo):
-            continue
-        if _vd(adj, u ^ bit, memo) and _vd(adj, link, memo):
-            split = bit
-            break
-    memo[u] = split
-    return split
-
-
-def _witness(adj: tuple[int, ...], avail: int, undominated: int,
-             memo: _Memo) -> bool:
-    """Whether an independent set inside ``avail`` dominates ``undominated``.
-
-    With ``avail`` = u - N[x] and ``undominated`` = N(x) in u, such a set
-    grows to a maximal independent set of G[u] - N[x] that stays maximal in
-    G[u] - x, so it exists exactly when (beta) fails at x.  The search
-    branches on the undominated vertex with the fewest candidates and stops
-    at the first set found.
-    """
-    if not undominated:
-        return True
-    memo.spend()
-    fewest = avail
-    rest = undominated
-    while rest:
-        low = rest & -rest
-        cand = (adj[low.bit_length() - 1] | low) & avail
-        if not cand:
-            return False
-        if cand.bit_count() < fewest.bit_count():
-            fewest = cand
-        rest ^= low
-    while fewest:
-        low = fewest & -fewest
-        near = adj[low.bit_length() - 1] | low
-        if _witness(adj, avail & ~near, undominated & ~near, memo):
-            return True
-        avail ^= low  # later branches leave this candidate out
-        fewest ^= low
-    return False
-
-
 def _flag_graph(delta: SimplicialComplex) -> tuple[int, ...] | None:
     """Adjacency bitsets of the graph H with Ind(H) = delta on its support,
     or None when delta is not flag.
@@ -344,14 +229,6 @@ def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
     return VDCertificate(False, refutation=stuck)
 
 
-def is_vd_graph(g: Graph) -> bool:
-    """VD of a graph = VD of its independence complex, decided by the graph
-    engine `_vd` on the adjacency bitsets; no maximal independent set is
-    listed and no certificate is built.  Raises ResourceLimit past
-    VD_GRAPH_NODE_BOUND."""
-    return bool(_vd(g._adj, (1 << len(g.vertices)) - 1, _Memo()))
-
-
 def verify_certificate(delta: SimplicialComplex, cert: VDCertificate) -> bool:
     """Replay a positive certificate, re-checking conditions at every node."""
     if not cert.decomposable:
@@ -391,9 +268,9 @@ def shedding_vertices(delta: SimplicialComplex, weak: bool = False) -> list[str]
     """Vertices satisfying conditions (alpha) and (beta); weak mode tests
     (beta) only.
 
-    A flag complex is Ind(H) of a graph H, and the graph engine `_vd`
-    decides its deletions and links; any other complex takes the facet
-    search.
+    A flag complex is Ind(H) of a graph H, and the graph engine decides
+    (beta) with `_witness` and the deletions and links with `_vd`; any
+    other complex takes the facet search.
     """
     if delta.is_void:
         raise ComplexError("void complex has no shedding vertices")
@@ -416,15 +293,14 @@ def shedding_vertices(delta: SimplicialComplex, weak: bool = False) -> list[str]
         link = support & ~(adj[i] | x)
         # a neighbour y with N[y] inside N[x] has no neighbour in the link
         if (all(adj[j] & link for j in _mask_bits(adj[i]))
-                and _split_masks(delta._masks, x) is None):
+                and _witness(adj, link, adj[i] & support, engine)):
             continue
         if weak or (_vd(adj, support ^ x, engine) and _vd(adj, link, engine)):
             out.append(delta.ambient[i])
     return out
 
 
-def is_shellable(delta: SimplicialComplex,
-                 facet_bound: int = DEFAULT_SHELLING_FACET_BOUND) -> list[tuple[str, ...]] | None:
+def is_shellable(delta: SimplicialComplex) -> list[tuple[str, ...]] | None:
     """A shelling order, or None if none exists.
 
     Whether a facet can extend a prefix depends only on the prefix as a set,
@@ -434,8 +310,9 @@ def is_shellable(delta: SimplicialComplex,
         raise ComplexError("void complex: shellability undefined")
     facets = list(delta.facets)
     t = len(facets)
-    if t > facet_bound:
-        raise ResourceLimit(f"{t} facets exceeds the shelling bound {facet_bound}")
+    if t > DEFAULT_SHELLING_FACET_BOUND:
+        raise ResourceLimit(f"{t} facets exceeds the shelling bound "
+                            f"{DEFAULT_SHELLING_FACET_BOUND}")
     if t == 1:
         return delta.facet_tuples()
 
@@ -487,9 +364,6 @@ def is_scm_via_dual(delta: SimplicialComplex, k: FieldSpec = GF2) -> bool:
     ideal must have a linear resolution (Betti numbers vanishing off
     j = i + e), checked with the Betti oracle.
     """
-    # imported here: ideals -> whisker -> decomposability is a cycle at load
-    from .ideals import MonomialIdeal, has_linear_resolution
-
     if delta.is_void:
         raise ComplexError("void complex: SCM test undefined")
     n = len(delta.ambient)

@@ -4,6 +4,12 @@ Vertices are opaque string tokens in a fixed order; adjacency is stored as
 per-vertex bitsets over that order, so all the exhaustive desk-scale
 algorithms (maximal independent sets, independent-set counting, chordality)
 run on machine words / Python ints.
+
+The graph engine `_vd` decides vertex decomposability of Ind(G[u]) on
+vertex masks within VD_GRAPH_NODE_BOUND, and lists no maximal independent
+set; `_vd` and `_witness` give its rules.  It answers `is_vd_graph`, and
+`decomposability.shedding_vertices` on a flag complex, which asks `_witness`
+for (beta) too.  `ideals.betti_recursive_cover` folds its memo's splits.
 """
 
 from __future__ import annotations
@@ -17,6 +23,11 @@ MAX_VERTICES = 512  # documented cap; exhaustive algorithms dominate anyway
 # Python 3.11, and each further edge doubles the time and the memory.  The
 # pi build of C22, with 39,603, stays under the bound.
 MIS_ENUMERATION_BOUND = 1 << 16
+# Work one graph-level VD verdict or shedding list may take: engine nodes
+# (distinct vertex sets) plus witness branches.  The tests, the property
+# suites and the benchmark's inputs take at most about 2,600; a unit costs
+# 2-80 us on a 2-vCPU Xeon with Python 3.11, so the bound is a few seconds.
+VD_GRAPH_NODE_BOUND = 1 << 17
 
 
 class GraphError(ValueError):
@@ -108,6 +119,109 @@ def _mis_walk(adj: tuple[int, ...], keep: int, emit: Callable[[int], bool]) -> b
         return False
 
     return expand(0, keep, 0)
+
+
+class _Memo(dict):
+    """`_vd`'s splits by vertex mask, and the work spent so far."""
+
+    __slots__ = ("work",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.work = 0
+
+    def spend(self) -> None:
+        self.work += 1
+        if self.work > VD_GRAPH_NODE_BOUND:
+            raise ResourceLimit(f"{self.work} graph VD nodes exceeds the graph "
+                                f"VD node bound {VD_GRAPH_NODE_BOUND}")
+
+
+def _vd(adj: tuple[int, ...], u: int, memo: _Memo) -> int:
+    """The split of Ind(G[u]) recorded in ``memo``, on G's adjacency bitsets.
+
+    It is 0 when the complex is not VD, and True when no edge is left.  An
+    isolated vertex is a cone point, and a cone is VD exactly when its base
+    is, so the memo key is ``u`` without them.  Separate components give a
+    join, VD exactly when each part is (Provan-Billera); the split is then
+    the lowest vertex's component.  Otherwise it is the bit of an x where
+    Ind(G[u] - x) and Ind(G[u] - N[x]) are VD and (beta) holds, and a
+    neighbour y with N[y] inside N[x] makes (beta) hold at once (Woodroofe
+    2009, Lemma 6), so such x go first, then the rest by descending degree.
+    """
+    u &= ~_isolated(adj, u)
+    if not u:
+        return True
+    known = memo.get(u)
+    if known is not None:
+        return known
+    memo.spend()
+    comp = _component(adj, u, (u & -u).bit_length() - 1)
+    if comp != u:
+        split = comp if _vd(adj, comp, memo) and _vd(adj, u ^ comp, memo) else 0
+        memo[u] = split
+        return split
+    closed = {}
+    rest = u
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        closed[i] = adj[i] & u | low
+        rest ^= low
+    dominated = 0  # the x with a neighbour y such that N[y] lies in N[x]
+    for y, near in closed.items():
+        rest = near ^ 1 << y
+        while rest:
+            low = rest & -rest
+            if not near & ~closed[low.bit_length() - 1]:
+                dominated |= low
+            rest ^= low
+    trials = sorted(closed, key=lambda i: (not dominated >> i & 1,
+                                           -closed[i].bit_count()))
+    split = 0
+    for x in trials:
+        bit = 1 << x
+        link = u & ~closed[x]
+        if not dominated & bit and _witness(adj, link, adj[x] & u, memo):
+            continue
+        if _vd(adj, u ^ bit, memo) and _vd(adj, link, memo):
+            split = bit
+            break
+    memo[u] = split
+    return split
+
+
+def _witness(adj: tuple[int, ...], avail: int, undominated: int,
+             memo: _Memo) -> bool:
+    """Whether an independent set inside ``avail`` dominates ``undominated``.
+
+    With ``avail`` = u - N[x] and ``undominated`` = N(x) in u, such a set
+    grows to a maximal independent set of G[u] - N[x] that stays maximal in
+    G[u] - x, so it exists exactly when (beta) fails at x.  The search
+    branches on the undominated vertex with the fewest candidates and stops
+    at the first set found.
+    """
+    if not undominated:
+        return True
+    memo.spend()
+    fewest = avail
+    rest = undominated
+    while rest:
+        low = rest & -rest
+        cand = (adj[low.bit_length() - 1] | low) & avail
+        if not cand:
+            return False
+        if cand.bit_count() < fewest.bit_count():
+            fewest = cand
+        rest ^= low
+    while fewest:
+        low = fewest & -fewest
+        near = adj[low.bit_length() - 1] | low
+        if _witness(adj, avail & ~near, undominated & ~near, memo):
+            return True
+        avail ^= low  # later branches leave this candidate out
+        fewest ^= low
+    return False
 
 
 def _mask_tuples(names: tuple[str, ...], masks: Iterable[int]) -> list[tuple[str, ...]]:
@@ -376,6 +490,14 @@ class Graph:
             cur = prev[cur]
         path.append(v)
         return tuple(self.vertices[i] for i in path)
+
+
+def is_vd_graph(g: Graph) -> bool:
+    """VD of a graph = VD of its independence complex, decided by the graph
+    engine `_vd` on the adjacency bitsets; no maximal independent set is
+    listed and no certificate is built.  Raises ResourceLimit past
+    VD_GRAPH_NODE_BOUND."""
+    return bool(_vd(g._adj, (1 << len(g.vertices)) - 1, _Memo()))
 
 
 # -- convenience constructors ---------------------------------------------

@@ -4,7 +4,7 @@ Two independent routes to Betti numbers of cover ideals are provided and
 cross-validated: a homology oracle (Hochster-style sum of reduced homology
 of vertex-subset restrictions) and a memoised splitting recursion on vertex
 masks of the build, at base vertices first and then where the graph engine
-`decomposability._vd` splits.  Its table does not depend on the field.
+`graph._vd` splits.  Its table does not depend on the field.
 
 Indexing convention: a BettiTable with module="ideal" resolves the ideal I
 itself, so beta_{i,j}(S/I) = beta_{i-1,j}(I) for i >= 1; module="quotient"
@@ -22,8 +22,8 @@ from typing import Iterable, Iterator
 from .complexes import (SimplicialComplex, _homology_masks, _MaskFamily,
                         _named, _normalise, independence_complex)
 from .fields import GF2, FieldSpec
-from .decomposability import _Memo, _vd
-from .graph import Graph, ResourceLimit, _by_position, _isolated, _mask_tuples
+from .graph import (Graph, ResourceLimit, _by_position, _isolated, _mask_tuples,
+                    _Memo, _vd)
 from .whisker import WhiskeredGraph, build_whiskered
 
 DEFAULT_ORACLE_AMBIENT_BOUND = 16
@@ -344,7 +344,7 @@ def betti_recursive_cover(w: WhiskeredGraph, k: FieldSpec = GF2) -> BettiTable:
     as a whisker neighbour y has N[y] inside N[x] (Woodroofe 2009, Lemma 6),
     so the lowest one left goes first, as in the paper.  Isolated vertices,
     in no minimal cover, are dropped, so a pi, cc or mc build ends there.
-    An md build leaves its whisker graphs, split where `decomposability._vd`
+    An md build leaves its whisker graphs, split where `graph._vd`
     records: at a shed vertex, or into components, whose tables convolve.
     No step depends on the field; ``k`` only labels the table.  Raises
     ResourceLimit past RECURSION_NODE_BOUND distinct subproblems, or past

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import independence_complex
 from .graph import Graph, GraphError, ResourceLimit, _mask_bits
 from .whisker import PartitionSpec, WhiskeredGraph, build_whiskered
 
@@ -35,11 +34,11 @@ class FacetPoset:
         if w.kind != "pi":
             raise PosetError("the facet poset is defined for kind=pi builds only")
         self.whiskered = w
-        self.complex = independence_complex(w.graph)
         self.whisker_set = w.added
         g = w.graph
         added = g._to_mask(w.added)
-        parts = [f & ~added for f in self.complex._masks]
+        masks = g._mis_masks()
+        parts = [f & ~added for f in masks]
         if len(set(parts)) != len(parts):
             raise PosetError("antisymmetry violated: two facets share a base part")
         # a base part sorts by its size, then by its names in string order
@@ -47,7 +46,7 @@ class FacetPoset:
                                                   key=lambda i: g.vertices[i]))}
         order = sorted(range(len(parts)), key=lambda i: (
             parts[i].bit_count(), sorted(rank[b] for b in _mask_bits(parts[i]))))
-        self._facets = [self.complex._masks[i] for i in order]
+        self._facets = [masks[i] for i in order]
         self._parts = [parts[i] for i in order]
         if self._parts[0]:
             raise PosetError("least element (the all-whisker facet) is missing")

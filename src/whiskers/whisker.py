@@ -31,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .decomposability import is_vd_graph
-from .graph import Graph, GraphError, _mask_bits, edgeless_graph
+from .graph import Graph, GraphError, _mask_bits, edgeless_graph, is_vd_graph
 
 KINDS = ("pi", "cc", "mc", "md")
 

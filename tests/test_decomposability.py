@@ -13,7 +13,7 @@ from whiskers import (SimplicialComplex, VDCertificate, build_whiskered,
                       complete_graph, cycle_graph, default_spec,
                       edgeless_graph, independence_complex, path_graph,
                       simplex_on, trivial_spec)
-from whiskers import decomposability
+from whiskers import decomposability, graph
 from whiskers.complexes import ComplexError
 from whiskers.decomposability import (ResourceLimit, _flag_graph, _split,
                                       is_scm_via_dual, is_shellable,
@@ -251,7 +251,7 @@ def test_vd_graph_node_budget(monkeypatch):
     g = cycle_graph([f"v{i}" for i in range(10)])
     w = build_whiskered(g, trivial_spec(g), "pi")
     assert is_vd_graph(w.graph)
-    monkeypatch.setattr(decomposability, "VD_GRAPH_NODE_BOUND", 10)
+    monkeypatch.setattr(graph, "VD_GRAPH_NODE_BOUND", 10)
     message = "^11 graph VD nodes exceeds the graph VD node bound 10$"
     with pytest.raises(ResourceLimit, match=message):
         is_vd_graph(w.graph)
@@ -285,12 +285,13 @@ def test_vd_implies_shellable():
                                for fk in order[:j])
 
 
-def test_shelling_resource_limit():
+def test_shelling_resource_limit(monkeypatch):
     g = random_graph(random.Random(1), 10, 0.2)
     c = independence_complex(g)
+    monkeypatch.setattr(decomposability, "DEFAULT_SHELLING_FACET_BOUND", 3)
     if len(c.facets) > 3:
         with pytest.raises(ResourceLimit):
-            is_shellable(c, facet_bound=3)
+            is_shellable(c)
 
 
 def test_unmixed():

@@ -1,0 +1,44 @@
+"""The package's modules import as a stack of layers, with no cycle."""
+
+import ast
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import whiskers
+
+PACKAGE = Path(whiskers.__file__).parent
+
+# An empty module object with the package's path stands in for
+# whiskers/__init__.py, which would otherwise import every module first in
+# its own order; so each module's own imports run first, as an entry point.
+ALONE = """import importlib, sys, types
+package = types.ModuleType("whiskers")
+package.__path__ = [{path!r}]
+sys.modules["whiskers"] = package
+importlib.import_module("whiskers." + sys.argv[1])
+"""
+
+
+def test_modules_import_alone_and_without_local_imports():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", "import whiskers"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    names = [m.name for m in pkgutil.iter_modules([str(PACKAGE)])]
+    assert "graph" in names and "cli" in names
+    for name in names:
+        done = subprocess.run(
+            [sys.executable, "-c", ALONE.format(path=str(PACKAGE)), name],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, f"{name}: {done.stderr}"
+    # an import inside a function hides a cycle that the layers should not have
+    local = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert local == []

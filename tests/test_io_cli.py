@@ -21,6 +21,7 @@ from whiskers.fields import FieldSpec
 from whiskers.graph import MIS_ENUMERATION_BOUND
 from whiskers.ideals import ORACLE_AMBIENT_CEILING
 from whiskers.io import ParseError
+from whiskers.properties import COUNT_BOUND
 from whiskers.randinst import random_complex_facets, random_graph, random_instance
 from whiskers.whisker import KINDS
 
@@ -295,6 +296,17 @@ def test_cli_error_codes(files, capsys):
         code, _ = run_cli("build", "--graph", str(files / "c6.graph"),
                           "--partition", str(files / name))
         assert code == 2, name
+    # checked before any suite runs: an unbounded count would run for weeks
+    capsys.readouterr()
+    for count, status, err in (
+            ("0", 2, "error: --count 0 is below 1\n"),
+            ("-3", 2, "error: --count -3 is below 1\n"),
+            ("1000000000", 3, "resource limit: --count 1000000000 exceeds the "
+                              f"property count bound {COUNT_BOUND}\n")):
+        start = time.perf_counter()
+        code, text = run_cli("properties", "--count", count)
+        assert time.perf_counter() - start < 1, count
+        assert (code, text, capsys.readouterr().err) == (status, "", err), count
     # a perfect matching on 40 vertices has 2^20 maximal independent sets
     (files / "m40.graph").write_text(
         "".join(f"edge a{i} b{i}\n" for i in range(20)))
