@@ -104,6 +104,8 @@ def cmd_poset(args, out) -> int:
 
 
 def cmd_betti(args, out) -> int:
+    if args.oracle_bound < 0:
+        raise ParseError(f"--oracle-bound {args.oracle_bound} is below 0")
     target, w = _load(args)
     tables = {}
     if args.method in ("oracle", "both"):

@@ -8,7 +8,6 @@ facets) and the irrelevant complex (single empty facet) are distinct values.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
@@ -150,18 +149,16 @@ class SimplicialComplex(_MaskFamily):
         return list(_named(self.ambient, self._nonface_masks()))
 
     def _nonface_masks(self) -> list[int]:
-        """``minimal_nonfaces`` as position masks, by size, then position."""
+        """``minimal_nonfaces`` as position masks, by size, then position: the
+        nonfaces N with every N - {c} a face, read off ``_face_masks``, the one
+        face enumeration, each from the face N - {max N} and the bit max N."""
         if self.is_void:
             return [0]
-        out: list[int] = []
-        bits = [1 << i for i in range(len(self.ambient))]
-        for k in range(1, min(self.dim + 2, len(bits)) + 1):
-            for c in combinations(bits, k):
-                m = sum(c)
-                if (all(m & ~f for f in self._masks)
-                        and all(x & ~m for x in out)):
-                    out.append(m)
-        return out
+        faces = self._face_masks()
+        out = [n for s in faces for b in range(s.bit_length(), len(self.ambient))
+               if (n := s | 1 << b) not in faces
+               and all(n ^ 1 << i in faces for i in _mask_bits(s))]
+        return sorted(_by_position(out), key=int.bit_count)
 
     # -- constructions ---------------------------------------------------------
 

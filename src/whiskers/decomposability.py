@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations
 from typing import Collection
 
 from .complexes import ComplexError, SimplicialComplex
@@ -53,7 +52,12 @@ from .graph import (Graph, ResourceLimit, _by_position, _mask_bits, _Memo,
                     _mis_walk, _vd, _witness, is_vd_graph)
 from .ideals import MonomialIdeal, has_linear_resolution
 
+# Facets of a shelling search, which visits each prefix set once: a star of
+# 11 edges beside a disjoint edge visits 2^11 and fails in 0.07-0.12 s (CPU,
+# 2-vCPU Xeon, Python 3.11); each facet fewer took 2.3-2.6 times less.
 DEFAULT_SHELLING_FACET_BOUND = 12
+# Vertices of an SCM test, so at most 2^14 faces: the 6-skeleton of the
+# 13-simplex (3,432 facets) took 0.46 s and 19 MB peak on the same machine.
 DEFAULT_SCM_AMBIENT_BOUND = 14
 
 
@@ -357,12 +361,13 @@ def is_unmixed(g: Graph) -> bool:
 
 
 def is_scm_via_dual(delta: SimplicialComplex, k: FieldSpec = GF2) -> bool:
-    """Sequential Cohen-Macaulayness via the componentwise-linear dual test.
-
-    The dual's facet ideal is generated by the complements of the facets.
-    For each generator degree e of it, the squarefree degree-e component
-    ideal must have a linear resolution (Betti numbers vanishing off
-    j = i + e), checked with the Betti oracle.
+    """Sequential Cohen-Macaulayness via the componentwise-linear dual test
+    (Eagon-Reiner 1998, Duval 1996): for each generator degree e of the
+    dual's facet ideal, generated by the facets' complements, the degree-e
+    component must have a linear resolution by the Betti oracle.  An e-set
+    S holds some V - F exactly when V - S lies in the facet F, so the
+    component is the complements of the (n - e)-faces, a filter of
+    ``_face_masks``, the one face enumeration.
     """
     if delta.is_void:
         raise ComplexError("void complex: SCM test undefined")
@@ -370,19 +375,12 @@ def is_scm_via_dual(delta: SimplicialComplex, k: FieldSpec = GF2) -> bool:
     if n > DEFAULT_SCM_AMBIENT_BOUND:
         raise ResourceLimit(f"ambient size {n} exceeds the SCM "
                             f"bound {DEFAULT_SCM_AMBIENT_BOUND}")
-    full = (1 << n) - 1
-    dual = [full ^ m for m in delta._masks]
-    if 0 in dual:  # a simplex: the dual ideal is the unit ideal
+    sizes = {m.bit_count() for m in delta._masks}
+    if n in sizes:  # a simplex: the dual ideal is the unit ideal
         return True
-    for e in sorted({g.bit_count() for g in dual}):
-        # all squarefree degree-e monomials of the ideal
-        gens_e = set()
-        for g in dual:
-            if g.bit_count() <= e:
-                room = [1 << i for i in range(n) if not g >> i & 1]
-                gens_e.update(g | sum(extra) for extra
-                              in combinations(room, e - g.bit_count()))
-        if not has_linear_resolution(
-                MonomialIdeal._from_masks(delta.ambient, _by_position(gens_e)), k):
+    full, faces = (1 << n) - 1, delta._face_masks()
+    for s in sorted(sizes, reverse=True):  # dual degrees e = n - s, upwards
+        gens = _by_position(full ^ f for f in faces if f.bit_count() == s)
+        if not has_linear_resolution(MonomialIdeal._from_masks(delta.ambient, gens), k):
             return False
     return True

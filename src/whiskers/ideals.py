@@ -26,6 +26,11 @@ from .graph import (Graph, ResourceLimit, _by_position, _isolated, _mask_tuples,
                     _Memo, _vd)
 from .whisker import WhiskeredGraph, build_whiskered
 
+# Variables the Betti oracle takes unless a caller raises the bound.  The
+# squarefree Veronese ideals in 16 variables, where most restrictions
+# contribute, took 0.6-6.6 s of CPU time over F2 on a 2-vCPU Xeon with
+# Python 3.11 (degree 6, 8,008 generators: 6.6 s, 23 MB peak); in 15
+# variables degree 6 took 2.1 s, so each variable costs about three times.
 DEFAULT_ORACLE_AMBIENT_BOUND = 16
 # No ambient_bound raises the oracle past this many variables: its tables and
 # cached masks take about n * 2^n * (n // 8 + 1) bytes, and one 20-variable

@@ -140,14 +140,18 @@ def parse_partition(text: str, g: Graph) -> PartitionSpec:
     # (name, clique indices); not a dict, since an unmentioned clique's
     # singleton cluster takes the clique's name, which a cluster may share
     clusters: list[tuple[str, tuple[int, ...]]] = []
-    for cname, (_, rest) in decl["cluster"].items():
+    for cname, (lineno, rest) in decl["cluster"].items():
         members = rest.split()
+        here: set[str] = set()
         for w in members:
             if w not in index:
                 raise ParseError(f"cluster {cname} references unknown clique {w}")
+            if w in here:
+                raise ParseError(f"line {lineno}: clique {w} repeats in cluster {cname}")
             if w in in_cluster:
                 raise ParseError(f"clique {w} appears in more than one cluster")
-            in_cluster.add(w)
+            here.add(w)
+        in_cluster |= here
         clusters.append((cname, tuple(sorted(index[w] for w in members))))
     clusters += [(w, (i,)) for w, i in index.items() if w not in in_cluster]
 

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from whiskers import (Graph, PartitionSpec, build_whiskered, cycle_graph,
-                      default_spec, edgeless_graph, path_graph)
-from whiskers.randinst import random_build, random_graph
+from whiskers import (Graph, PartitionSpec, SimplicialComplex, build_whiskered,
+                      cycle_graph, default_spec, edgeless_graph,
+                      independence_complex, path_graph)
+from whiskers.randinst import random_build, random_complex_facets, random_graph
 
 
 def c6():
@@ -91,6 +92,26 @@ def all_antichains(n):
                 chosen.pop()
 
     rec(0, [])
+    return out
+
+
+def seeded_complexes():
+    """Every antichain on at most 5 vertices as a complex, the void and
+    irrelevant complexes, seeded random complexes on 1-9 vertices and Ind
+    of seeded pi/cc/mc/md builds of up to 12 vertices."""
+    out = [SimplicialComplex((), []), SimplicialComplex((), [()]),
+           SimplicialComplex("ab", [])]
+    for n in range(1, 6):
+        names = [str(i) for i in range(n)]
+        out += [SimplicialComplex(names, [[names[b] for b in range(n) if m >> b & 1]
+                                          for m in ac])
+                for ac in all_antichains(n)]
+    rng = random.Random("seeded-complexes")
+    for t in range(400):
+        names = [str(i + 1) for i in range(t % 9 + 1)]
+        out.append(SimplicialComplex(names, random_complex_facets(rng, len(names))))
+    out += [independence_complex(random_build(rng, kind, max_base=6, max_total=12).graph)
+            for kind in ("pi", "cc", "mc", "md") * 10]
     return out
 
 

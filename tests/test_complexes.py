@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -13,9 +14,11 @@ from whiskers import (ComplexError, SimplicialComplex, build_whiskered,
                       cycle_graph, independence_complex, simplex_on,
                       trivial_spec)
 from whiskers.fields import GF2, QQ, FieldSpec
+from whiskers.graph import _by_position
+from whiskers.ideals import MonomialIdeal, ideal_of
 from whiskers.randinst import random_complex_facets
 
-from conftest import c6, seeded_graphs
+from conftest import c6, seeded_complexes, seeded_graphs
 
 
 def complexes(max_n=8):
@@ -98,6 +101,54 @@ def test_faces_and_nonfaces():
     nonfaces = {frozenset(f) for f in c.minimal_nonfaces()}
     assert nonfaces == {frozenset({"1", "2"}), frozenset({"2", "3"}),
                         frozenset({"3", "4"}), frozenset({"1", "4"})}
+
+
+def _ref_nonface_masks(c):
+    """The minimal nonfaces by a sweep of every subset of up to dim + 2
+    ambient vertices, each tested against every facet: the route that the
+    one pass over the face set replaced, kept as ground truth."""
+    if c.is_void:
+        return [0]
+    out = []
+    bits = [1 << i for i in range(len(c.ambient))]
+    for k in range(1, min(c.dim + 2, len(bits)) + 1):
+        for sub in combinations(bits, k):
+            m = sum(sub)
+            if all(m & ~f for f in c._masks) and all(x & ~m for x in out):
+                out.append(m)
+    return out
+
+
+def test_nonfaces_match_the_subset_sweep():
+    """Minimal nonfaces, the Alexander dual and the Stanley-Reisner ideal,
+    all read from the face set, against the sweep: equal masks in equal
+    order on every antichain of at most 5 vertices, seeded random
+    complexes and Ind of seeded builds."""
+    for c in seeded_complexes():
+        want = _ref_nonface_masks(c)
+        assert c._nonface_masks() == want, c.facet_tuples()
+        assert c.minimal_nonfaces() == [
+            frozenset(c.ambient[i] for i in range(len(c.ambient)) if m >> i & 1)
+            for m in want]
+        assert ideal_of(c, "stanley-reisner") == MonomialIdeal._from_masks(
+            c.ambient, _by_position(want))
+        if c.ambient:
+            full = (1 << len(c.ambient)) - 1
+            assert c.alexander_dual() == SimplicialComplex._from_masks(
+                c.ambient, _by_position(full ^ m for m in want))
+
+
+def test_nonfaces_of_a_large_independence_complex_are_fast():
+    """Ind of the pi build of C10 has 20 vertices and 23,168 faces.  The
+    subset sweep took 7-9 s of CPU time on its 20 minimal nonfaces
+    (Xeon, Python 3.11); the pass over the face set takes about 0.03 s."""
+    c10 = cycle_graph([f"v{i}" for i in range(10)])
+    ind = independence_complex(build_whiskered(c10, trivial_spec(c10), "pi").graph)
+    start = time.process_time()
+    nonfaces = ind.minimal_nonfaces()
+    assert time.process_time() - start < 1.0
+    # the edges of the build, since Ind of a graph is a flag complex
+    assert len(nonfaces) == 20 and all(len(f) == 2 for f in nonfaces)
 
 
 def test_full_simplex_has_void_dual():

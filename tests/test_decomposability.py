@@ -4,6 +4,7 @@ import hashlib
 import random
 import time
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,11 @@ from whiskers.decomposability import (ResourceLimit, _flag_graph, _split,
                                       is_vd_graph, is_vertex_decomposable,
                                       shedding_vertices, verify_certificate)
 from whiskers.fields import GF2, QQ
+from whiskers.graph import _by_position
+from whiskers.ideals import MonomialIdeal, has_linear_resolution
 from whiskers.randinst import random_build, random_complex_facets, random_graph
 
-from conftest import all_antichains, c6, c6_ears
+from conftest import all_antichains, c6, c6_ears, seeded_complexes
 
 
 def complexes(max_n=7):
@@ -306,6 +309,56 @@ def test_scm_examples():
     # Ind(C6) itself is not SCM over Q or F2
     assert not is_scm_via_dual(independence_complex(c6()), QQ)
     assert not is_scm_via_dual(independence_complex(c6()), GF2)
+
+
+def _ref_scm_components(delta):
+    """{e: the squarefree degree-e monomials of the dual's facet ideal}, for
+    each generator degree e, by padding each generator with every choice of
+    e - |g| further vertices: the route that the filter of the face set by
+    size replaced, kept as ground truth."""
+    n = len(delta.ambient)
+    full = (1 << n) - 1
+    dual = [full ^ m for m in delta._masks]
+    out = {}
+    for e in sorted({g.bit_count() for g in dual}):
+        gens_e = set()
+        for g in dual:
+            if g.bit_count() <= e:
+                room = [1 << i for i in range(n) if not g >> i & 1]
+                gens_e.update(g | sum(extra) for extra
+                              in combinations(room, e - g.bit_count()))
+        out[e] = _by_position(gens_e)
+    return out
+
+
+def _ref_is_scm_via_dual(delta, k):
+    full = (1 << len(delta.ambient)) - 1
+    if full in delta._masks:  # a simplex: the dual ideal is the unit ideal
+        return True
+    return all(has_linear_resolution(MonomialIdeal._from_masks(delta.ambient, gens), k)
+               for gens in _ref_scm_components(delta).values())
+
+
+def test_scm_matches_the_padding_sweep():
+    """The degree-e component is the complements of the (n - e)-faces, and
+    the verdict over F2 and QQ equals the padding sweep's: every antichain
+    on at most 5 vertices, seeded random complexes and Ind of seeded
+    builds."""
+    seen = set()
+    for c in seeded_complexes():
+        if c.is_void:
+            continue
+        n = len(c.ambient)
+        full = (1 << n) - 1
+        faces = c._face_masks()
+        for e, gens in _ref_scm_components(c).items():
+            assert gens == _by_position(full ^ f for f in faces
+                                        if f.bit_count() == n - e)
+        for k in (GF2, QQ):
+            verdict = is_scm_via_dual(c, k)
+            assert verdict == _ref_is_scm_via_dual(c, k), c.facet_tuples()
+            seen.add(verdict)
+    assert seen == {True, False}
 
 
 def test_vd_memo_is_released_after_each_call():

@@ -42,3 +42,30 @@ def test_modules_import_alone_and_without_local_imports():
                 local += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert local == []
+
+
+def _outside_stdlib(source):
+    """(line, module) for each absolute import in source whose top-level
+    name is not a standard-library module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.partition(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_runtime_imports_only_the_standard_library():
+    """The runtime stays free of dependencies: every absolute import in the
+    package names a standard-library module."""
+    assert _outside_stdlib("import numpy.linalg\nfrom hypothesis import given\n"
+                           "from .graph import Graph\nimport os, re\n") == [
+        (1, "numpy.linalg"), (2, "hypothesis")]
+    outside = [(path.name, line, name) for path in sorted(PACKAGE.glob("*.py"))
+               for line, name in _outside_stdlib(path.read_text(encoding="utf-8"))]
+    assert outside == []

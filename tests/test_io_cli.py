@@ -117,6 +117,8 @@ _PARTITION_ERRORS = [
     ("clique W1: a\ncluster U1: W1 W9\n", "cluster U1 references unknown clique W9"),
     ("clique W1: a\nclique W2: b\ncluster U1: W1\ncluster U2: W2 W1\n",
      "clique W1 appears in more than one cluster"),
+    ("clique W1: a\nclique W2: b\nclique W3: c\ncluster U1: W1 W1 W3\n",
+     "line 4: clique W1 repeats in cluster U1"),
     ("clique W1: a\nwhiskerA W7: size=1 edges=()\n", "whiskerA for unknown clique W7"),
     (EARS_TEXT + "whiskerB W1: size=1 edges=()\n",
      "whiskerB for unknown or single-clique cluster W1"),
@@ -278,6 +280,11 @@ def test_cli_error_codes(files, capsys):
     code, _ = run_cli("betti", "--graph", str(files / "l6.graph"),
                       "--oracle-bound", "2")
     assert code == 3
+    # a bound below 0 is a usage error, found before the graph file is read
+    capsys.readouterr()
+    code, text = run_cli("betti", "--graph", "missing.graph", "--oracle-bound", "-1")
+    assert (code, text, capsys.readouterr().err) == (
+        2, "", "error: --oracle-bound -1 is below 0\n")
     (files / "empty.cx").write_text("")
     code, _ = run_cli("check-vd", "--complex", str(files / "empty.cx"))
     assert code == 2
