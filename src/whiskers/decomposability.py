@@ -7,31 +7,28 @@ graph engine of `graph` answers `is_vd_graph`, re-exported here, and
 facets, and the engine decides (beta), the deletion and the link on H.
 
 The facet search `_search` gives `is_vertex_decomposable` its certificate,
-and `shedding_vertices` its verdicts on a complex that is not flag.  A
-certificate names shed vertices that its replay re-splits facet by facet,
-and its text depends on the facet search's trial order, so certificates
-stay on the facet search and `check-vd` output does not change.  It starts
-from the complex's own ``_masks`` and keeps every subcomplex as int
-bitmasks over those position bits, never renumbered.  Its memo is keyed by
-the facet set with its cone points (the vertices in every facet) removed,
-and lives for one top-level call, so a long-lived process keeps none of
-it.  The key is exact because a cone x*G is vertex decomposable exactly
-when G is (Provan-Billera), so a cone and its base share one verdict.  A
-``False`` there holds on every path, because vertex decomposability does
-not depend on the trial order; a tree there only says "yes", and the
-search still expands the facets as given, so a certificate never comes
-from another complex's entry.
+and `shedding_vertices` its verdicts on a complex that is not flag.  It has
+one mode: it follows the label order and returns a certificate tree or
+None.  A certificate names shed vertices that its replay re-splits facet by
+facet, and its text depends on the trial order, so certificates stay on the
+facet search and `check-vd` output does not change.  It starts from the
+complex's own ``_masks`` and keeps every subcomplex as int bitmasks over
+those position bits, never renumbered.
 
-The facet search's trial order is descending degree in the 1-skeleton,
-ties broken by each subcomplex's labels, so the labels fix which
-certificate is found.  The top labels are the support's bits in the string
-order of their names.  Below it, a child's labels are its support in the
-order of the parent's labels as decimal strings (0, 1, 10, 11, ..., 2,
-...); under ten labels that is the numeric order.  Without a label order
-only the verdict counts: ties go by bit, and any tree in the memo answers
-for its facet set.  ``is_vertex_decomposable`` searches a subcomplex again
-when the memo holds a tree for it, because that tree may follow other
-labels, and puts names on the tree once, at the end.
+The trial order is descending degree in the 1-skeleton, ties broken by each
+subcomplex's labels, so the labels fix which certificate is found.  The top
+labels are the support's bits in the string order of their names.  Below
+it, a child's labels are its support in the order of the parent's labels as
+decimal strings (0, 1, 10, 11, ..., 2, ...); under ten labels that is the
+numeric order.
+
+The search remembers refutations only: a set of facet sets, each with its
+cone points (the vertices in every facet) removed, that lives for one
+top-level call, so a long-lived process keeps none of it.  A cone x*G is
+vertex decomposable exactly when G is (Provan-Billera), so a cone shares
+its base's entry, and vertex decomposability does not depend on the trial
+order, so a refutation holds on every path.  A decomposable subcomplex met
+again is searched again, on its own labels.
 
 A refutation is the input complex itself.  A failed subcomplex only sends
 its parent on to the next trial vertex, so the search is stuck exactly when
@@ -126,14 +123,14 @@ def _string_order(m: int) -> list[int]:
     return sorted(range(m), key=str)
 
 
-def _search(facets: Collection[int], order: list[int] | None,
-            memo: dict[frozenset[int], Tree | bool]) -> Tree | bool:
-    """The certificate tree over the input's bits, or False.
+def _search(facets: Collection[int], order: list[int],
+            refuted: set[frozenset[int]]) -> Tree | None:
+    """The certificate tree over the input's bits, or None.
 
     ``order`` lists the parent's support bits in the order of its labels as
     decimal strings, and label i of this subcomplex is the i-th of them
-    inside its support.  With ``order`` None only the verdict counts: ties
-    go by bit, and a tree in the memo answers for its facet set.
+    inside its support.  ``refuted`` holds the facet sets, cone points
+    removed, already found not VD.
     """
     if len(facets) <= 1:
         return ("simplex",)
@@ -142,18 +139,13 @@ def _search(facets: Collection[int], order: list[int] | None,
         apex &= f
     # a cone is VD exactly when its base is, so cones share their base's key
     key = frozenset(f ^ apex for f in facets) if apex else frozenset(facets)
-    known = memo.get(key)
-    if known is False or known is not None and order is None:
-        return known
+    if key in refuted:
+        return None
     support = 0
     for f in facets:
         support |= f
-    if order is None:
-        below = None
-        order = [1 << i for i in range(support.bit_length()) if support >> i & 1]
-    else:
-        order = [b for b in order if b & support]
-        below = [order[i] for i in _string_order(len(order))]
+    order = [b for b in order if b & support]
+    below = [order[i] for i in _string_order(len(order))]
     closed = dict.fromkeys(order, 0)
     for f in facets:
         rest = f
@@ -162,22 +154,19 @@ def _search(facets: Collection[int], order: list[int] | None,
             closed[low] |= f
             rest ^= low
     # trial order: descending degree in the 1-skeleton, ties by label
-    trials = sorted(order, key=lambda b: -closed[b].bit_count())
-    tree: Tree | bool = False
-    for x in trials:
+    for x in sorted(order, key=lambda b: -closed[b].bit_count()):
         split = _split_masks(facets, x)
         if split is None:
             continue
-        tree_d = _search(split[0], below, memo)
-        if tree_d is False:
+        tree_d = _search(split[0], below, refuted)
+        if tree_d is None:
             continue
-        tree_l = _search(split[1], below, memo)
-        if tree_l is False:
+        tree_l = _search(split[1], below, refuted)
+        if tree_l is None:
             continue
-        tree = ("shed", x, tree_d, tree_l)
-        break
-    memo[key] = tree
-    return tree
+        return ("shed", x, tree_d, tree_l)
+    refuted.add(key)
+    return None
 
 
 def _flag_graph(delta: SimplicialComplex) -> tuple[int, ...] | None:
@@ -218,8 +207,8 @@ def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
     """
     if delta.is_void:
         raise ComplexError("void complex: vertex decomposability undefined")
-    tree = _search(delta._masks, _top_order(delta), {})
-    if tree is not False:
+    tree = _search(delta._masks, _top_order(delta), set())
+    if tree is not None:
 
         def named(node: Tree) -> Tree:
             if node[0] == "simplex":
@@ -273,21 +262,24 @@ def shedding_vertices(delta: SimplicialComplex, weak: bool = False) -> list[str]
     (beta) only.
 
     A flag complex is Ind(H) of a graph H, and the graph engine decides
-    (beta) with `_witness` and the deletions and links with `_vd`; any
-    other complex takes the facet search.
+    (beta) with `_witness`, which also covers a neighbour y of x with N[y]
+    inside N[x] (Woodroofe 2009, Lemma 6), and the deletions and links with
+    `_vd`.  Any other complex asks the facet search whether each deletion
+    and link has a certificate, with one refuted set for all its vertices.
     """
     if delta.is_void:
         raise ComplexError("void complex has no shedding vertices")
     adj = _flag_graph(delta)
     out = []
     if adj is None:
-        memo: dict[frozenset[int], Tree | bool] = {}
-        for x in _top_order(delta):
+        order = _top_order(delta)
+        refuted: set[frozenset[int]] = set()
+        for x in order:
             split = _split_masks(delta._masks, x)
             if split is None:
                 continue
-            if weak or (_search(split[0], None, memo) is not False
-                        and _search(split[1], None, memo) is not False):
+            if weak or (_search(split[0], order, refuted) is not None
+                        and _search(split[1], order, refuted) is not None):
                 out.append(delta.ambient[x.bit_length() - 1])
         return out
     support = reduce(int.__or__, delta._masks)
@@ -295,9 +287,7 @@ def shedding_vertices(delta: SimplicialComplex, weak: bool = False) -> list[str]
     for x in _top_order(delta):
         i = x.bit_length() - 1
         link = support & ~(adj[i] | x)
-        # a neighbour y with N[y] inside N[x] has no neighbour in the link
-        if (all(adj[j] & link for j in _mask_bits(adj[i]))
-                and _witness(adj, link, adj[i] & support, engine)):
+        if _witness(adj, link, adj[i], engine):
             continue
         if weak or (_vd(adj, support ^ x, engine) and _vd(adj, link, engine)):
             out.append(delta.ambient[i])

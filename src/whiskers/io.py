@@ -145,11 +145,13 @@ def parse_partition(text: str, g: Graph) -> PartitionSpec:
         here: set[str] = set()
         for w in members:
             if w not in index:
-                raise ParseError(f"cluster {cname} references unknown clique {w}")
+                raise ParseError(f"line {lineno}: cluster {cname} references "
+                                 f"unknown clique {w}")
             if w in here:
                 raise ParseError(f"line {lineno}: clique {w} repeats in cluster {cname}")
             if w in in_cluster:
-                raise ParseError(f"clique {w} appears in more than one cluster")
+                raise ParseError(f"line {lineno}: clique {w} appears in more "
+                                 f"than one cluster")
             here.add(w)
         in_cluster |= here
         clusters.append((cname, tuple(sorted(index[w] for w in members))))
@@ -157,13 +159,15 @@ def parse_partition(text: str, g: Graph) -> PartitionSpec:
 
     raw_a, raw_b = decl["whiskerA"], decl["whiskerB"]
     whisker_a = tuple(_whisker(raw_a, w, f"a{i + 1}") for w, i in index.items())
-    if raw_a:
-        raise ParseError(f"whiskerA for unknown clique {sorted(raw_a)[0]}")
+    if raw_a:  # the first left over, in file order
+        name, (lineno, _) = next(iter(raw_a.items()))
+        raise ParseError(f"line {lineno}: whiskerA for unknown clique {name}")
     whisker_b = tuple(_whisker(raw_b, cname, f"b{j + 1}") if len(members) > 1 else None
                       for j, (cname, members) in enumerate(clusters))
     if raw_b:
-        raise ParseError(f"whiskerB for unknown or single-clique cluster "
-                         f"{sorted(raw_b)[0]}")
+        name, (lineno, _) = next(iter(raw_b.items()))
+        raise ParseError(f"line {lineno}: whiskerB for unknown or single-clique "
+                         f"cluster {name}")
 
     return PartitionSpec(tuple(tuple(rest.split()) for _, rest in decl["clique"].values()),
                          tuple(members for _, members in clusters), whisker_a, whisker_b)

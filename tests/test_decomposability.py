@@ -111,9 +111,9 @@ def _is_flag(c):
 @settings(max_examples=120, deadline=None)
 @given(complexes(7))
 def test_shedding_vertices_match_brute_force(c):
-    """The search's memo answers verdicts by facet set, so the shedding
-    lists get their own ground truth.  A flag complex goes to the graph
-    engine and any other to the facet search, so the route is checked
+    """The search's refuted set answers verdicts by facet set, so the
+    shedding lists get their own ground truth.  A flag complex goes to the
+    graph engine and any other to the facet search, so the route is checked
     against the minimal nonfaces too."""
     assert (_flag_graph(c) is not None) == _is_flag(c)
     strong, weak = _brute_shedding(c)
@@ -145,10 +145,22 @@ def _cone(c, apex):
                              [set(f) | {apex} for f in c.facets])
 
 
+_HOLLOW = [("t1", "t2"), ("t2", "t3"), ("t1", "t3")]
+
+
+def _hollow_join(g):
+    """Ind(g) joined with the hollow triangle t1 t2 t3, which is not flag:
+    t1 t2 t3 is a minimal nonface of three vertices.  A join is VD exactly
+    when both parts are (Provan-Billera), so the verdict is Ind(g)'s."""
+    return SimplicialComplex(list(g.vertices) + ["t1", "t2", "t3"],
+                             [f | set(e) for f in independence_complex(g).facets
+                              for e in _HOLLOW])
+
+
 def test_cones_share_verdicts_and_shedding():
-    """The memo keys a cone by its base, so a cone and a double cone must
-    give the base's verdict, replayable certificates of their own, and the
-    base's shedding lists: the apex never sheds, its deletion is void."""
+    """The refuted set keys a cone by its base, so a cone and a double cone
+    must give the base's verdict, replayable certificates of their own, and
+    the base's shedding lists: the apex never sheds, its deletion is void."""
     rng = random.Random(53)
     cases = []
     for t in range(40):
@@ -362,11 +374,15 @@ def test_scm_matches_the_padding_sweep():
 
 
 def test_vd_memo_is_released_after_each_call():
-    """The memo lives for one top-level call, so a long-lived process keeps
-    none of it once the calls return."""
+    """The graph engine's memo and the facet search's refuted set live for
+    one top-level call, so a long-lived process keeps none of them once the
+    calls return.  Flag complexes take the engine for shedding lists, and
+    the hollow joins, which are not flag, take the facet search for both."""
     rng = random.Random(12)
     cases = [independence_complex(random_graph(rng, rng.randint(12, 15), 0.35))
              for _ in range(60)]
+    cases += [_hollow_join(random_graph(rng, rng.randint(9, 12), 0.35))
+              for _ in range(20)]
     tracemalloc.start()
     try:
         for c in cases:
@@ -486,6 +502,37 @@ def test_bitmask_search_matches_label_reference():
         assert shedding_vertices(c) == _ref_shedding(c, memo)
         if cert.decomposable:
             assert verify_certificate(c, cert)
+        verdicts.add(cert.decomposable)
+    assert verdicts == {True, False}
+
+
+def _hollow_joins():
+    rng = random.Random(29)
+    graphs = [random_graph(rng, 8 + t % 5, rng.uniform(0.25, 0.55))
+              for t in range(10)]
+    graphs += [build_whiskered(g, trivial_spec(g), "pi").graph
+               for g in (cycle_graph([f"v{i}" for i in range(1, n + 1)])
+                         for n in (5, 6))]
+    return [_hollow_join(g) for g in graphs]
+
+
+def test_non_flag_search_matches_label_reference():
+    """Certificates, refutations and strong and weak shedding lists of
+    complexes that are not flag, and so go to the facet search, against the
+    label-level reference.  The supports have 11-15 vertices, so the
+    decimal-string label order nests."""
+    memo = {}
+    verdicts = set()
+    for c in _hollow_joins():
+        assert _flag_graph(c) is None
+        assert 11 <= len(c.ambient) <= 15
+        cert = is_vertex_decomposable(c)
+        assert cert.to_lines() == _ref_certificate(c, memo).to_lines()
+        assert shedding_vertices(c) == _ref_shedding(c, memo)
+        facets = frozenset(c.facets)
+        weak = [x for x in sorted({v for f in facets for v in f})
+                if _ref_split(facets, x)[2]]
+        assert shedding_vertices(c, weak=True) == weak
         verdicts.add(cert.decomposable)
     assert verdicts == {True, False}
 

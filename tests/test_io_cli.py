@@ -114,14 +114,16 @@ _PARTITION_ERRORS = [
      "line 10: duplicate whiskerB U2"),
     ("clique W1: a\nwhisker W1: size=1 edges=()\n", "line 2: unknown keyword 'whisker'"),
     ("clique W1: a\nclique W2 b\n", "line 2: expected '<keyword> <name>: ...'"),
-    ("clique W1: a\ncluster U1: W1 W9\n", "cluster U1 references unknown clique W9"),
+    ("clique W1: a\ncluster U1: W1 W9\n", "line 2: cluster U1 references unknown clique W9"),
     ("clique W1: a\nclique W2: b\ncluster U1: W1\ncluster U2: W2 W1\n",
-     "clique W1 appears in more than one cluster"),
+     "line 4: clique W1 appears in more than one cluster"),
     ("clique W1: a\nclique W2: b\nclique W3: c\ncluster U1: W1 W1 W3\n",
      "line 4: clique W1 repeats in cluster U1"),
-    ("clique W1: a\nwhiskerA W7: size=1 edges=()\n", "whiskerA for unknown clique W7"),
+    ("clique W1: a\nwhiskerA W7: size=1 edges=()\n", "line 2: whiskerA for unknown clique W7"),
+    ("clique W1: a\nwhiskerA W9: size=1 edges=()\nwhiskerA W7: size=1 edges=()\n",
+     "line 2: whiskerA for unknown clique W9"),
     (EARS_TEXT + "whiskerB W1: size=1 edges=()\n",
-     "whiskerB for unknown or single-clique cluster W1"),
+     "line 4: whiskerB for unknown or single-clique cluster W1"),
     (EARS_TEXT + "whiskerA W1: size=0 edges=()\n", "line 4: whisker size must be >= 1"),
     (EARS_TEXT + "whiskerA W3: size=2 edges=(1-3)\n",
      "line 4: edge index out of range in '1-3'"),
