@@ -28,13 +28,20 @@ top-level call, so a long-lived process keeps none of it.  A cone x*G is
 vertex decomposable exactly when G is (Provan-Billera), so a cone shares
 its base's entry, and vertex decomposability does not depend on the trial
 order, so a refutation holds on every path.  A decomposable subcomplex met
-again is searched again, on its own labels.
+again is searched again, on its own labels.  Every link of a VD complex is
+VD (Provan-Billera 1980; Bjorner-Wachs 1997 for non-pure complexes), so
+the search skips a trial vertex whose deletion is refuted, tries each
+other one's link first, and refutes the node at the first link that is not
+VD.  A VD node meets no such link, and the set holds only true
+refutations, so a tree depends on the facets and the labels alone.  At
+most VD_REFUTATION_BOUND refutations are made before ResourceLimit.
 
-A refutation is the input complex itself.  A failed subcomplex only sends
-its parent on to the next trial vertex, so the search is stuck exactly when
-the top complex is, and ``VDCertificate.refutation`` lists the input's
-facets.  The label-level ``_split`` serves only the certificate replay and
-the brute-force oracle, which check both searches independently.
+A refutation is the input complex itself.  A failed deletion sends its
+parent on to the next trial vertex and a failed link refutes the parent,
+so the search is stuck exactly when the top complex is, and
+``VDCertificate.refutation`` lists the input's facets.  The label-level
+``_split`` serves only the certificate replay and the brute-force oracle,
+which check both searches independently.
 """
 
 from __future__ import annotations
@@ -56,6 +63,13 @@ DEFAULT_SHELLING_FACET_BOUND = 12
 # Vertices of an SCM test, so at most 2^14 faces: the 6-skeleton of the
 # 13-simplex (3,432 facets) took 0.46 s and 19 MB peak on the same machine.
 DEFAULT_SCM_AMBIENT_BOUND = 14
+# Subcomplexes one facet search may refute.  A certificate on F facets has
+# F - 1 shed nodes, which the input bounds, so only refutations are counted.
+# The tests, the property suites and the benchmark's inputs refute at most
+# 266, and random Ind(G) of 16-30 vertices at most 344; the 1-skeleton of
+# K_n beside two disjoint edges reaches the bound in 0.2-0.5 s for every n
+# from 13 to 30 (CPU, 2-vCPU Xeon, Python 3.11).
+VD_REFUTATION_BOUND = 1 << 12
 
 
 # A certificate tree is either ("simplex",) or ("shed", v, del_tree, lk_tree).
@@ -123,22 +137,32 @@ def _string_order(m: int) -> list[int]:
     return sorted(range(m), key=str)
 
 
+def _key(facets: Collection[int]) -> frozenset[int]:
+    """The facet set with its cone points removed: a cone is VD exactly
+    when its base is, so cones share their base's key."""
+    apex = -1
+    for f in facets:
+        apex &= f
+    return frozenset(f ^ apex for f in facets) if apex else frozenset(facets)
+
+
 def _search(facets: Collection[int], order: list[int],
             refuted: set[frozenset[int]]) -> Tree | None:
     """The certificate tree over the input's bits, or None.
 
     ``order`` lists the parent's support bits in the order of its labels as
     decimal strings, and label i of this subcomplex is the i-th of them
-    inside its support.  ``refuted`` holds the facet sets, cone points
-    removed, already found not VD.
+    inside its support.  ``refuted`` holds the `_key` of each facet set
+    already found not VD.  A trial vertex where (beta) holds is skipped
+    when its deletion is refuted; otherwise its link is searched first,
+    and a link that is not VD refutes this node at once, since every link
+    of a VD complex is VD (Provan-Billera 1980; Bjorner-Wachs 1997).  The
+    deletion is searched only then.  Raises ResourceLimit past
+    VD_REFUTATION_BOUND refutations.
     """
     if len(facets) <= 1:
         return ("simplex",)
-    apex = -1
-    for f in facets:
-        apex &= f
-    # a cone is VD exactly when its base is, so cones share their base's key
-    key = frozenset(f ^ apex for f in facets) if apex else frozenset(facets)
+    key = _key(facets)
     if key in refuted:
         return None
     support = 0
@@ -156,16 +180,19 @@ def _search(facets: Collection[int], order: list[int],
     # trial order: descending degree in the 1-skeleton, ties by label
     for x in sorted(order, key=lambda b: -closed[b].bit_count()):
         split = _split_masks(facets, x)
-        if split is None:
-            continue
-        tree_d = _search(split[0], below, refuted)
-        if tree_d is None:
+        if split is None or _key(split[0]) in refuted:
             continue
         tree_l = _search(split[1], below, refuted)
         if tree_l is None:
+            break
+        tree_d = _search(split[0], below, refuted)
+        if tree_d is None:
             continue
         return ("shed", x, tree_d, tree_l)
     refuted.add(key)
+    if len(refuted) > VD_REFUTATION_BOUND:
+        raise ResourceLimit(f"{len(refuted)} refuted subcomplexes exceeds the "
+                            f"facet search refutation bound {VD_REFUTATION_BOUND}")
     return None
 
 

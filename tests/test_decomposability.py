@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whiskers import (SimplicialComplex, VDCertificate, build_whiskered,
+from whiskers import (Graph, SimplicialComplex, VDCertificate, build_whiskered,
                       complete_graph, cycle_graph, default_spec,
                       edgeless_graph, independence_complex, path_graph,
                       simplex_on, trivial_spec)
@@ -200,13 +200,24 @@ def test_vd_exhaustive_4_vertices():
         assert cert.decomposable == is_vd_brute_force(c)
 
 
+# VD, with shedding vertices v5 and v6.  (beta) holds at v2 too, with a VD
+# link and a deletion that is not VD, and the engine tries v2 before v5: a
+# search that refuted a node at a deletion that is not VD would refute it.
+def _nine_vertex_graph():
+    edges = ("v1v3 v1v4 v1v5 v1v7 v1v9 v2v3 v2v4 v2v5 v2v6 v2v9 v3v5 v3v6 "
+             "v4v5 v4v6 v4v8 v5v6 v5v7 v5v8 v6v7 v8v9")
+    return Graph([f"v{i}" for i in range(1, 10)],
+                 [(e[:2], e[2:]) for e in edges.split()])
+
+
 def test_graph_and_complex_vd_agree():
     """The graph engine against the facet search, which share no code:
-    seeded graphs of up to 12 vertices, some with isolated vertices and
-    some with three or four components."""
+    the graph above and seeded graphs of up to 12 vertices, some with
+    isolated vertices and some with three or four components."""
     rng = random.Random(17)
-    cases = [random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.8))
-             for _ in range(160)]
+    cases = [_nine_vertex_graph()]
+    cases += [random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.8))
+              for _ in range(160)]
     for t in range(60):
         parts = [random_graph(rng, rng.randint(1, 3), rng.uniform(0.3, 0.9),
                               prefix=p) for p in "abcd"[:3 + t % 2]]
@@ -231,13 +242,16 @@ def test_graph_and_complex_vd_agree():
 def test_flag_shedding_matches_label_reference():
     """Strong and weak shedding lists of seeded independence complexes,
     which are flag and so go to the graph engine, against the label-level
-    reference search below and its (beta) test."""
+    reference search below and its (beta) test, and the graph above."""
     rng = random.Random(19)
     memo = {}
+    cases = [_nine_vertex_graph()]
     for t in range(80):
         g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.15, 0.7))
         if t % 4 == 0:
             g = g.disjoint_union(edgeless_graph(["z"]))
+        cases.append(g)
+    for g in cases:
         c = independence_complex(g)
         assert _flag_graph(c) is not None
         facets = frozenset(c.facets)
@@ -272,6 +286,36 @@ def test_vd_graph_node_budget(monkeypatch):
         is_vd_graph(w.graph)
     with pytest.raises(ResourceLimit, match=message):
         shedding_vertices(independence_complex(w.graph))
+
+
+def _k_n_and_two_edges(n):
+    """The 1-skeleton of K_n beside two disjoint edges: not flag, and not
+    VD, since its edges do not form one connected graph (Bjorner-Wachs
+    1996).  The facet search refutes about 2^n subcomplexes on it."""
+    ks = [f"k{i}" for i in range(n)]
+    return SimplicialComplex(ks + ["a1", "a2", "b1", "b2"],
+                             list(combinations(ks, 2))
+                             + [("a1", "a2"), ("b1", "b2")])
+
+
+def test_facet_search_refutation_budget(monkeypatch):
+    """The facet search refutes at most VD_REFUTATION_BOUND subcomplexes,
+    with a one-line message that names the bound, for certificates and for
+    the non-flag route of shedding lists alike."""
+    small = _k_n_and_two_edges(8)
+    assert not is_vertex_decomposable(small).decomposable
+    bound = decomposability.VD_REFUTATION_BOUND
+    message = (f"^{bound + 1} refuted subcomplexes exceeds the facet search "
+               f"refutation bound {bound}$")
+    with pytest.raises(ResourceLimit, match=message):
+        is_vertex_decomposable(_k_n_and_two_edges(13))
+    monkeypatch.setattr(decomposability, "VD_REFUTATION_BOUND", 10)
+    message = ("^11 refuted subcomplexes exceeds the facet search "
+               "refutation bound 10$")
+    with pytest.raises(ResourceLimit, match=message):
+        is_vertex_decomposable(small)
+    with pytest.raises(ResourceLimit, match=message):
+        shedding_vertices(small)
 
 
 def test_vd_respects_components():

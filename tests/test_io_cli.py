@@ -17,6 +17,7 @@ from whiskers import (build_whiskered, cycle_graph, format_complex, format_graph
                       format_partition, graph_to_dot, parse_complex,
                       parse_graph, parse_partition, trivial_spec)
 from whiskers.cli import run
+from whiskers.decomposability import VD_REFUTATION_BOUND
 from whiskers.fields import FieldSpec
 from whiskers.graph import MIS_ENUMERATION_BOUND
 from whiskers.ideals import ORACLE_AMBIENT_CEILING
@@ -328,6 +329,19 @@ def test_cli_error_codes(files, capsys):
         assert capsys.readouterr().err == (
             "resource limit: maximal independent sets exceed the enumeration "
             f"bound {MIS_ENUMERATION_BOUND}\n"), command
+    # the 1-skeleton of K_20 beside two disjoint edges is not flag, so the
+    # facet search decides it; it would refute about 2^20 subcomplexes
+    ks = [f"k{i}" for i in range(20)]
+    (files / "k20.cx").write_text(
+        "".join(f"facet {a} {b}\n" for i, a in enumerate(ks) for b in ks[i + 1:])
+        + "facet a1 a2\nfacet b1 b2\n")
+    capsys.readouterr()
+    start = time.perf_counter()
+    code, text = run_cli("check-vd", "--complex", str(files / "k20.cx"))
+    assert time.perf_counter() - start < 1
+    assert (code, text, capsys.readouterr().err) == (
+        3, "", f"resource limit: {VD_REFUTATION_BOUND + 1} refuted subcomplexes "
+               f"exceeds the facet search refutation bound {VD_REFUTATION_BOUND}\n")
 
 
 def test_cli_betti_rejects_huge_field(files, capsys):
