@@ -71,7 +71,15 @@ def _normalise(ambient: Iterable[str], sets: Iterable[Iterable[str]],
 
 
 def _named(ambient: tuple[str, ...], masks: Iterable[int]) -> tuple[frozenset[str], ...]:
-    return tuple(frozenset(ambient[i] for i in _mask_bits(m)) for m in masks)
+    out = []
+    for m in masks:
+        names = []
+        while m:
+            low = m & -m
+            names.append(ambient[low.bit_length() - 1])
+            m ^= low
+        out.append(frozenset(names))
+    return tuple(out)
 
 
 class _MaskFamily:
@@ -99,9 +107,13 @@ class _MaskFamily:
 
 class SimplicialComplex(_MaskFamily):
     """Facets are stored as position masks over ``ambient`` in ``_masks``;
-    ``facets`` names them on each read, in the same position order."""
+    ``facets`` names them on each read, in the same position order.
 
-    __slots__ = ()
+    A complex made by ``independence_complex(g)`` also carries ``g._adj`` in
+    ``_graph_adj``, the graph H with Ind(H) equal to it; on any other
+    complex that slot is unset.  Equality and hashing ignore it."""
+
+    __slots__ = ("_graph_adj",)
 
     def __init__(self, ambient: Iterable[str], facets: Iterable[Iterable[str]]):
         self.ambient, self._masks = _normalise(ambient, facets, ComplexError, "facet")
@@ -332,8 +344,11 @@ def _homology_masks(faces: Iterable[int], k: FieldSpec) -> dict[int, int]:
 # -- graph-derived complexes ----------------------------------------------
 
 def independence_complex(g: Graph) -> SimplicialComplex:
-    """Ind G: facets are the maximal independent sets of G."""
-    return SimplicialComplex._from_masks(g.vertices, g._mis_masks())
+    """Ind G: facets are the maximal independent sets of G.  It carries G's
+    adjacency bitsets, so `decomposability._flag_graph` needs no walk."""
+    c = SimplicialComplex._from_masks(g.vertices, g._mis_masks())
+    c._graph_adj = g._adj
+    return c
 
 
 def simplex_on(vertices: Iterable[str]) -> SimplicialComplex:

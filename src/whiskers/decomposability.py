@@ -203,8 +203,14 @@ def _flag_graph(delta: SimplicialComplex) -> tuple[int, ...] | None:
     H is the complement of the 1-skeleton on the support.  Each facet is
     independent in H, so delta = Ind(H) exactly when every maximal
     independent set of H is a facet; the walk stops at the first that is
-    not, so it lists at most one set more than delta has facets.
+    not, so it lists at most one set more than delta has facets.  A complex
+    made by `independence_complex(g)` needs no walk: every vertex of G lies
+    in a maximal independent set, and two vertices share one exactly when
+    they are not adjacent, so H is G.
     """
+    carried = getattr(delta, "_graph_adj", None)
+    if carried is not None:
+        return carried
     skeleton = [0] * len(delta.ambient)
     support = 0
     for f in delta._masks:

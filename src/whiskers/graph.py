@@ -104,21 +104,34 @@ def _mis_walk(adj: tuple[int, ...], keep: int, emit: Callable[[int], bool]) -> b
     """Call ``emit`` on each maximal independent set of G[keep], as a mask.
 
     Bron-Kerbosch with pivoting on the complement graph: maximal independent
-    sets here are maximal cliques there.  The walk stops at the first call
-    that returns True and then returns True itself.
+    sets here are maximal cliques there.  The pivot is the vertex of p | x
+    that keeps the most of p, the lowest one on a tie, and the candidates go
+    lowest first.  The walk stops at the first call that returns True and
+    then returns True itself.
     """
     nonadj = [keep & ~(a | 1 << i) for i, a in enumerate(adj)]
 
     def expand(r: int, p: int, x: int) -> bool:
         if not p and not x:
             return emit(r)
-        pivot = max(_mask_bits(p | x), key=lambda i: (nonadj[i] & p).bit_count())
-        for i in _mask_bits(p & ~nonadj[pivot]):
-            bit = 1 << i
-            if expand(r | bit, p & nonadj[i], x & nonadj[i]):
+        most = -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            kept = (nonadj[i] & p).bit_count()
+            if kept > most:
+                most, pivot = kept, i
+            rest ^= low
+        cand = p & ~nonadj[pivot]
+        while cand:
+            bit = cand & -cand
+            near = nonadj[bit.bit_length() - 1]
+            if expand(r | bit, p & near, x & near):
                 return True
-            p &= ~bit
+            p ^= bit
             x |= bit
+            cand ^= bit
         return False
 
     return expand(0, keep, 0)
@@ -239,9 +252,12 @@ def _mask_tuples(names: tuple[str, ...], masks: Iterable[int]) -> list[tuple[str
 
 
 class Graph:
-    """Immutable simple graph: no loops, no multi-edges, stable vertex order."""
+    """Immutable simple graph: no loops, no multi-edges, stable vertex order.
 
-    __slots__ = ("vertices", "_pos", "_adj")
+    ``_mis`` holds the maximal independent sets once they are listed; a
+    derived graph starts without them."""
+
+    __slots__ = ("vertices", "_pos", "_adj", "_mis")
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable[tuple[str, str]] = ()):
         """The checked entry for names and edges from outside; edge ends
@@ -263,13 +279,14 @@ class Graph:
             adj[iu] |= 1 << iv
             adj[iv] |= 1 << iu
         self.vertices, self._pos, self._adj = tuple(pos), pos, tuple(adj)
+        self._mis = None
 
     @classmethod
     def _from_adj(cls, vertices: Iterable[str], adj: Iterable[int]) -> "Graph":
         """Vertices and bitsets of a derived graph, taken as they are; only
         the vertex cap, which a union or a build can pass, is checked."""
         g = cls.__new__(cls)
-        g.vertices, g._adj = tuple(vertices), tuple(adj)
+        g.vertices, g._adj, g._mis = tuple(vertices), tuple(adj), None
         if len(g.vertices) > MAX_VERTICES:
             raise GraphError(f"graph exceeds {MAX_VERTICES} vertices")
         g._pos = {v: i for i, v in enumerate(g.vertices)}
@@ -400,8 +417,14 @@ class Graph:
         """
         return _mask_tuples(self.vertices, self._mis_masks())
 
-    def _mis_masks(self) -> list[int]:
-        """``maximal_independent_sets`` as position masks, in the same order."""
+    def _mis_masks(self) -> tuple[int, ...]:
+        """``maximal_independent_sets`` as position masks, in the same order.
+
+        The graph does not change, so the first listing that stays within
+        the bound is kept and every later call returns it.
+        """
+        if self._mis is not None:
+            return self._mis
         out: list[int] = []
 
         def emit(r: int) -> bool:
@@ -411,7 +434,8 @@ class Graph:
         if _mis_walk(self._adj, (1 << len(self.vertices)) - 1, emit):
             raise ResourceLimit("maximal independent sets exceed the "
                                 f"enumeration bound {MIS_ENUMERATION_BOUND}")
-        return _by_position(out)
+        self._mis = tuple(_by_position(out))
+        return self._mis
 
     def minimal_vertex_covers(self) -> list[tuple[str, ...]]:
         full = (1 << len(self.vertices)) - 1

@@ -294,10 +294,11 @@ def _subset_tables(gens: tuple[int, ...], n: int) -> tuple[bytes, bytes, bytes, 
             below.to_bytes(nbytes * size, "little"), nbytes)
 
 
-def _betti_terms(ideal: MonomialIdeal, k: FieldSpec,
-                 ambient_bound: int) -> Iterator[tuple[int, int, int]]:
+def _betti_terms(ideal: MonomialIdeal, k: FieldSpec, ambient_bound: int,
+                 skip_up_to: int = 0) -> Iterator[tuple[int, int, int]]:
     """The nonzero (i, j, dim) terms of Hochster's sum for a proper nonzero
-    ideal, restriction by restriction in increasing order of W."""
+    ideal, restriction by restriction in increasing order of W, leaving out
+    every W of at most ``skip_up_to`` vertices."""
     n = len(ideal.ambient)
     if n > ambient_bound:
         raise ResourceLimit(f"ambient size {n} exceeds the oracle bound {ambient_bound}")
@@ -306,9 +307,11 @@ def _betti_terms(ideal: MonomialIdeal, k: FieldSpec,
                             f"{ORACLE_AMBIENT_CEILING}, which no bound raises")
     nonface, contributing, faces_below, nbytes = _subset_tables(ideal._masks, n)
     for w in compress(range(1 << n), contributing):
+        j = w.bit_count()
+        if j <= skip_up_to:
+            continue
         at = nbytes * w
         faces = int.from_bytes(faces_below[at:at + nbytes], "little")
-        j = w.bit_count()
         for hdeg, dim in _restriction_homology(w, nonface, faces, k).items():
             i = j - hdeg - 2
             if i >= 0 and dim:
@@ -424,6 +427,11 @@ def has_linear_resolution(ideal: MonomialIdeal, k: FieldSpec = GF2) -> bool:
     if len(degrees) > 1:
         return False
     e = degrees.pop()
-    # stops at the first term off the strand
+    # A W of at most e + 1 vertices gives terms on the strand only, so those
+    # W are skipped.  Below e vertices the restriction is a simplex, and at e
+    # it is a simplex or the boundary of W.  At e + 1 it holds every
+    # (e-1)-subset of W; its one possible (e-1)-cycle needs every e-subset,
+    # so a generator inside W leaves none, and without one it is a simplex.
+    # The walk stops at the first term off the strand.
     return all(j == i + e for i, j, _ in
-               _betti_terms(ideal, k, DEFAULT_ORACLE_AMBIENT_BOUND))
+               _betti_terms(ideal, k, DEFAULT_ORACLE_AMBIENT_BOUND, e + 1))

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graph import Graph, GraphError, ResourceLimit, _mask_bits
-from .whisker import PartitionSpec, WhiskeredGraph, build_whiskered
+from .graph import Graph, GraphError, ResourceLimit
+from .whisker import PartitionSpec, WhiskeredGraph, _check
 
 
 # The inclusion-exclusion count sums over every nonempty subset of the
@@ -41,11 +41,22 @@ class FacetPoset:
         parts = [f & ~added for f in masks]
         if len(set(parts)) != len(parts):
             raise PosetError("antisymmetry violated: two facets share a base part")
-        # a base part sorts by its size, then by its names in string order
-        rank = {i: r for r, i in enumerate(sorted(range(len(g.vertices)),
-                                                  key=lambda i: g.vertices[i]))}
-        order = sorted(range(len(parts)), key=lambda i: (
-            parts[i].bit_count(), sorted(rank[b] for b in _mask_bits(parts[i]))))
+        # a base part sorts by its size, then by its names in string order:
+        # with bit n-1-r for the name of string rank r, a larger mask among
+        # parts of one size is an earlier sorted list of ranks
+        n = len(g.vertices)
+        flip = [0] * n
+        for r, i in enumerate(sorted(range(n), key=g.vertices.__getitem__)):
+            flip[i] = 1 << n - 1 - r
+        keys = []
+        for part in parts:
+            rev, rest = 0, part
+            while rest:
+                low = rest & -rest
+                rev |= flip[low.bit_length() - 1]
+                rest ^= low
+            keys.append((part.bit_count(), -rev))
+        order = sorted(range(len(parts)), key=keys.__getitem__)
         self._facets = [masks[i] for i in order]
         self._parts = [parts[i] for i in order]
         if self._parts[0]:
@@ -55,8 +66,16 @@ class FacetPoset:
         base = g._to_mask(w.base.vertices)
         self.covers: list[list[int]] = []
         for small in self._parts:
-            ups = (self._index.get(small | 1 << b) for b in _mask_bits(base & ~small))
-            self.covers.append(sorted(j for j in ups if j is not None))
+            ups = []
+            rest = base & ~small
+            while rest:
+                low = rest & -rest
+                j = self._index.get(small | low)
+                if j is not None:
+                    ups.append(j)
+                rest ^= low
+            ups.sort()
+            self.covers.append(ups)
 
     def __len__(self) -> int:
         return len(self._facets)
@@ -117,10 +136,10 @@ class FacetPoset:
 def count_facets_pi(g: Graph, spec: PartitionSpec) -> int:
     """Facet count of the pi-build's independence complex by
     inclusion-exclusion over the boolean intervals below the maximal
-    independent sets of the base graph.  Raises ResourceLimit when there
-    are more than INCLUSION_EXCLUSION_MIS_BOUND of them."""
-    # validates the spec for kind=pi as a side effect
-    build_whiskered(g, spec, "pi")
+    independent sets of the base graph.  Raises WhiskerError when the spec
+    does not build a pi build on g, and ResourceLimit when there are more
+    than INCLUSION_EXCLUSION_MIS_BOUND maximal independent sets."""
+    _check(g, spec, "pi")
     mis = [frozenset(s) for s in g.maximal_independent_sets()]
     if len(mis) > INCLUSION_EXCLUSION_MIS_BOUND:
         raise ResourceLimit(f"{len(mis)} maximal independent sets > "

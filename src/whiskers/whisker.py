@@ -16,7 +16,8 @@ kinds:
 The kinds nest in ``KINDS`` order: a spec fits its most specific kind
 (``derive_kind``) and every later one, so a requested kind is checked by its
 place in that order, plus the vertex decomposability of the whisker graphs
-for md.  ``build_whiskered`` checks a spec once; ``_assemble`` then builds on
+for md.  ``build_whiskered`` checks a spec once with ``_check``, which
+``poset.count_facets_pi`` calls alone; ``_assemble`` then builds on
 adjacency bitsets, each whisker graph shifted past the vertices before it.
 Residuals and seeded random builds, valid by construction, skip the checks.
 
@@ -216,12 +217,17 @@ def _check_kind(spec: PartitionSpec, kind: str) -> list[str]:
             for label, h in labelled if not is_vd_graph(h)]
 
 
-def build_whiskered(g: Graph, spec: PartitionSpec, kind: str) -> WhiskeredGraph:
+def _check(g: Graph, spec: PartitionSpec, kind: str) -> None:
+    """Raise WhiskerError unless the spec builds a kind ``kind`` graph on g."""
     if kind not in KINDS:
         raise WhiskerError(f"unknown kind {kind!r}")
     bad = validate_partitions(g, spec) + _check_kind(spec, kind)
     if bad:
         raise WhiskerError("invalid partition spec: " + "; ".join(bad))
+
+
+def build_whiskered(g: Graph, spec: PartitionSpec, kind: str) -> WhiskeredGraph:
+    _check(g, spec, kind)
     return _assemble(g, spec, kind)
 
 

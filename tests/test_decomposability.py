@@ -26,7 +26,8 @@ from whiskers.graph import _by_position
 from whiskers.ideals import MonomialIdeal, has_linear_resolution
 from whiskers.randinst import random_build, random_complex_facets, random_graph
 
-from conftest import all_antichains, c6, c6_ears, seeded_complexes
+from conftest import (all_antichains, c6, c6_ears, seeded_complexes,
+                      seeded_graphs)
 
 
 def complexes(max_n=7):
@@ -119,6 +120,27 @@ def test_shedding_vertices_match_brute_force(c):
     strong, weak = _brute_shedding(c)
     assert shedding_vertices(c) == strong
     assert shedding_vertices(c, weak=True) == weak
+
+
+def test_independence_complex_carries_its_graph():
+    """Ind(G) hands `_flag_graph` G's bitsets, which are what the walk finds
+    on the same facets built from names: isolated vertices, edgeless graphs
+    and the empty graph included.  Equality and hashing ignore them."""
+    rng = random.Random(47)
+    cases = seeded_graphs() + [
+        Graph(["z"], [("a", "b")]),
+        random_graph(rng, 9, 0.4).disjoint_union(edgeless_graph(["i1", "i2"]))]
+    for g in cases:
+        carried = independence_complex(g)
+        named = SimplicialComplex(g.vertices, g.maximal_independent_sets())
+        assert carried == named and hash(carried) == hash(named)
+        assert _flag_graph(carried) is g._adj
+        assert _flag_graph(named) == g._adj
+        # a complex derived from Ind(G) walks again
+        if g.vertices:
+            v = g.vertices[0]
+            assert _flag_graph(carried.deletion([v])) == \
+                _flag_graph(named.deletion([v]))
 
 
 def test_non_flag_complexes_take_the_facet_route():

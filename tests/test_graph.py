@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from whiskers import (Graph, GraphError, ResourceLimit, complete_graph,
                       cycle_graph, default_spec, format_graph, graph_to_dot,
                       path_graph)
-from whiskers.graph import MIS_ENUMERATION_BOUND, _component, _isolated
+from whiskers.graph import (MIS_ENUMERATION_BOUND, _component, _isolated,
+                            _mask_bits, _mis_walk)
 from whiskers.randinst import random_graph
 
 from conftest import c6, fresh_copy, seeded_graphs
@@ -133,8 +134,78 @@ def test_mis_enumeration_bound():
     at_bound = Graph([], [(f"a{i}", f"b{i}") for i in range(k)])
     assert len(at_bound.maximal_independent_sets()) == MIS_ENUMERATION_BOUND
     over = Graph([], [(f"a{i}", f"b{i}") for i in range(k + 1)])
-    with pytest.raises(ResourceLimit, match=f"bound {MIS_ENUMERATION_BOUND}$"):
-        over.maximal_independent_sets()
+    # a listing over the bound is not kept, so a second call raises too
+    for _ in range(2):
+        with pytest.raises(ResourceLimit,
+                           match="^maximal independent sets exceed the "
+                                 f"enumeration bound {MIS_ENUMERATION_BOUND}$"):
+            over.maximal_independent_sets()
+    assert over._mis is None
+
+
+def test_mis_listing_is_kept_on_the_graph_only():
+    """The first listing is kept and handed out again; a graph derived from
+    one that holds its listing starts without one."""
+    rng = random.Random(23)
+    for g in seeded_graphs():
+        assert g._mis is None
+        first = g._mis_masks()
+        assert g._mis_masks() is first and g._mis is first
+        assert g.maximal_independent_sets() == g.maximal_independent_sets()
+        keep = [v for v in g.vertices if rng.random() < 0.6]
+        renamed = Graph([f"{v}'" for v in g.vertices])
+        for h in (g.induce(keep), g.delete_vertices(keep), g.complement(),
+                  g.disjoint_union(renamed), fresh_copy(g, rng)):
+            assert h._mis is None
+
+
+def _ref_mis_walk(adj, keep, emit):
+    """The walk as generators: the pivot by ``max`` over ``_mask_bits``,
+    which keeps the lowest index on a tie, and candidates lowest first."""
+    nonadj = [keep & ~(a | 1 << i) for i, a in enumerate(adj)]
+
+    def expand(r, p, x):
+        if not p and not x:
+            return emit(r)
+        pivot = max(_mask_bits(p | x), key=lambda i: (nonadj[i] & p).bit_count())
+        for i in _mask_bits(p & ~nonadj[pivot]):
+            bit = 1 << i
+            if expand(r | bit, p & nonadj[i], x & nonadj[i]):
+                return True
+            p &= ~bit
+            x |= bit
+        return False
+
+    return expand(0, keep, 0)
+
+
+def test_mis_walk_matches_the_generator_reference():
+    """The same sets in the same order, on whole graphs of 0-18 vertices and
+    on proper vertex subsets, and the same stop when ``emit`` says so."""
+    rng = random.Random(41)
+    for t in range(190):
+        n = t % 19
+        g = random_graph(rng, n, rng.uniform(0.05, 0.9))
+        full = (1 << n) - 1
+        keeps = [full]
+        for _ in range(2 if n else 0):
+            sub = rng.getrandbits(n)
+            keeps.append(sub if sub != full else sub ^ 1 << rng.randrange(n))
+        for keep in keeps:
+            seqs = []
+            for walk in (_mis_walk, _ref_mis_walk):
+                out = []
+                assert not walk(g._adj, keep, lambda r: out.append(r))
+                seqs.append(out)
+            assert seqs[0] == seqs[1]
+            stop = rng.randint(1, len(seqs[0]))
+            cut = []
+            for walk in (_mis_walk, _ref_mis_walk):
+                out = []
+                assert walk(g._adj, keep,
+                            lambda r: out.append(r) or len(out) == stop)
+                cut.append(out)
+            assert cut[0] == cut[1] == seqs[0][:stop]
 
 
 def test_components_and_union():

@@ -21,8 +21,8 @@ from whiskers import (Graph, SimplicialComplex, betti_closed_pi, betti_join,
 from whiskers.fields import GF2, QQ, FieldSpec, rank_modp, rank_rational
 from whiskers.ideals import (HOM_CACHE_BOUND, ORACLE_AMBIENT_CEILING,
                              RECURSION_NODE_BOUND, BettiTable, IdealError,
-                             MonomialIdeal, ResourceLimit, _hom_cache,
-                             _subset_masks, _subset_tables)
+                             MonomialIdeal, ResourceLimit, _betti_terms,
+                             _hom_cache, _subset_masks, _subset_tables)
 from whiskers.randinst import random_build, random_graph
 from whiskers.whisker import WhiskeredGraph
 
@@ -661,6 +661,31 @@ def test_froeberg_criterion():
         table = betti_oracle(ideal, GF2)
         assert has_linear_resolution(ideal, GF2) \
             == all(j == i + e for (i, j) in table.entries), ideal.generators
+
+
+def test_strand_prune_matches_the_oracle():
+    """``has_linear_resolution`` leaves out every W of at most e + 1
+    vertices.  On seeded ideals of one degree e = 1-4 over three fields,
+    every term of such a W lies on the strand, the pruned walk yields the
+    other terms in the same order, and the verdict is the full table's."""
+    rng = random.Random(61)
+    linear = 0
+    for t in range(90):
+        field = (GF2, FieldSpec.parse("3"), QQ)[t % 3]
+        e = 1 + t % 4
+        n = rng.randint(e + 1, 9)
+        amb = [f"x{i}" for i in range(n)]
+        ideal = MonomialIdeal(amb, [rng.sample(amb, e)
+                                    for _ in range(rng.randint(1, 9))])
+        full = list(_betti_terms(ideal, field, 16))
+        assert all(j == i + e for i, j, _ in full if j <= e + 1)
+        assert list(_betti_terms(ideal, field, 16, e + 1)) == \
+            [term for term in full if term[1] > e + 1]
+        table = betti_oracle(ideal, field)
+        verdict = all(j == i + e for (i, j) in table.entries)
+        assert has_linear_resolution(ideal, field) == verdict
+        linear += verdict
+    assert 10 < linear < 80
 
 
 def test_oracle_resource_limit():

@@ -6,10 +6,11 @@ from math import factorial
 
 import pytest
 
-from whiskers import (FacetPoset, PosetError, ResourceLimit, build_whiskered,
-                      count_facets_pi, cycle_graph, default_spec,
-                      format_graph, format_partition, independence_complex,
-                      trivial_spec)
+from whiskers import (FacetPoset, PosetError, ResourceLimit, WhiskerError,
+                      build_whiskered, count_facets_pi, cycle_graph,
+                      default_spec, format_graph, format_partition,
+                      independence_complex, trivial_spec)
+from whiskers import whisker
 from whiskers.cli import run
 from whiskers.poset import INCLUSION_EXCLUSION_MIS_BOUND
 from whiskers.randinst import random_instance
@@ -99,6 +100,74 @@ def test_count_facets_pi_budget():
                        match=f"29 maximal independent sets > bound "
                              f"{INCLUSION_EXCLUSION_MIS_BOUND}"):
         count_facets_pi(c12, trivial_spec(c12))
+
+
+def test_count_facets_pi_checks_the_spec_without_a_build(monkeypatch):
+    """An invalid spec or kind gives the message of ``build_whiskered``, and
+    a valid one is counted without assembling a build."""
+    g = c6()
+    bad = [default_spec(g, [("v1", "v3"), ("v2",), ("v4", "v5", "v6")]),
+           default_spec(g, [(v,) for v in g.vertices], a_sizes=[2] + [1] * 5)]
+    messages = []
+    for spec in bad:
+        with pytest.raises(WhiskerError) as err:
+            build_whiskered(g, spec, "pi")
+        messages.append(str(err.value))
+
+    def no_build(*args):
+        raise AssertionError("count_facets_pi assembled a build")
+
+    monkeypatch.setattr(whisker, "_assemble", no_build)
+    for spec, message in zip(bad, messages):
+        with pytest.raises(WhiskerError) as err:
+            count_facets_pi(g, spec)
+        assert str(err.value) == message
+    assert count_facets_pi(g, c6_ears_spec(g)) == 18
+
+
+def test_cli_facets_builds_once(tmp_path, monkeypatch):
+    g = cycle_graph([f"v{i}" for i in range(1, 11)])
+    (tmp_path / "c10.graph").write_text(format_graph(g))
+    (tmp_path / "c10.part").write_text(format_partition(trivial_spec(g)))
+    calls = []
+    assemble = whisker._assemble
+    monkeypatch.setattr(whisker, "_assemble",
+                        lambda *args: calls.append(args) or assemble(*args))
+    out = io.StringIO()
+    assert run(["facets", "--graph", str(tmp_path / "c10.graph"),
+                "--partition", str(tmp_path / "c10.part")], out=out) == 0
+    assert out.getvalue().endswith("123 facets\ninclusion-exclusion count: "
+                                   "123\nindependent-set count: 123\n")
+    assert len(calls) == 1
+
+
+def test_order_matches_the_sorted_rank_key():
+    """Parts sort by size, then by the sorted string ranks of their names,
+    on builds whose names are shuffled against the position order and
+    whose numbers sort as strings (v10 before v2)."""
+    rng = random.Random(53)
+    for t in range(24):
+        n = 4 + t % 9
+        names = [f"v{i}" for i in range(1, n + 1)]
+        rng.shuffle(names)
+        g = cycle_graph(names)
+        vs = g.vertices
+        if t % 2:
+            spec = default_spec(g, [vs[i:i + 2] for i in range(0, n, 2)])
+        else:
+            spec = trivial_spec(g)
+        w = build_whiskered(g, spec, "pi")
+        p = FacetPoset(w)
+        gw = w.graph
+        rank = {i: r for r, i in enumerate(sorted(range(len(gw.vertices)),
+                                                  key=lambda i: gw.vertices[i]))}
+        added = gw._to_mask(w.added)
+        parts = [f & ~added for f in gw._mis_masks()]
+        old = sorted(parts, key=lambda m: (
+            m.bit_count(), sorted(rank[b] for b in range(m.bit_length())
+                                  if m >> b & 1)))
+        assert p._parts == old
+        assert len(set(old)) == len(old)
 
 
 def _pairwise_covers(p):
