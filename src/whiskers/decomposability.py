@@ -42,15 +42,26 @@ so the search is stuck exactly when the top complex is, and
 ``VDCertificate.refutation`` lists the input's facets.  The label-level
 ``_split`` serves only the certificate replay and the brute-force oracle,
 which check both searches independently.
+
+A refutation found without the search has the same text.  A VD complex
+is shellable (Bjorner-Wachs 1997, Thm 11.3), and a shellable complex, pure
+or not, has no negative entry in its h-triangle (Bjorner-Wachs 1996,
+Thm 3.4).  `is_vertex_decomposable` counts that triangle once, at the
+root, in one pass over the faces (`_h_triangle`), and a negative entry
+refutes the input before any search.  The pass lists the sum of 2^|F|
+subsets over the facets, so it runs only within H_TRIANGLE_BOUND; past it,
+or when no entry is negative, the search decides.  The same check at every
+node of the search was slower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from typing import Collection
+from itertools import groupby
+from typing import Collection, Iterator
 
-from .complexes import ComplexError, SimplicialComplex
+from .complexes import ComplexError, SimplicialComplex, _f_to_h
 from .fields import GF2, FieldSpec
 from .graph import (Graph, ResourceLimit, _by_position, _mask_bits, _Memo,
                     _mis_walk, _vd, _witness, is_vd_graph)
@@ -70,6 +81,12 @@ DEFAULT_SCM_AMBIENT_BOUND = 14
 # K_n beside two disjoint edges reaches the bound in 0.2-0.5 s for every n
 # from 13 to 30 (CPU, 2-vCPU Xeon, Python 3.11).
 VD_REFUTATION_BOUND = 1 << 12
+# Sum of 2^|F| over the facets up to which `is_vertex_decomposable` looks
+# for a negative h-triangle entry before it searches; the pass lists that
+# many subsets.  The benchmark's random Ind(G) of 12-15 vertices reach
+# 2,880, and the pi build of C10 (125,952) goes straight to the search.  It
+# only prunes, so going over it never raises.
+H_TRIANGLE_BOUND = 1 << 14
 
 
 # A certificate tree is either ("simplex",) or ("shed", v, del_tree, lk_tree).
@@ -196,6 +213,32 @@ def _search(facets: Collection[int], order: list[int],
     return None
 
 
+def _h_triangle(facets: Collection[int]) -> Iterator[tuple[int, list[int]]]:
+    """The rows (i, [h_{i,0}, ..., h_{i,i}]) of the h-triangle, one per
+    facet size i, largest first (Bjorner-Wachs 1996, Sec. 3).
+
+    f_{i,k} counts the faces of size k whose largest facet has size i.
+    Facets go largest first, so a face takes its degree from the first
+    facet that holds it, and row i is final once the facets of size i are
+    done.  h_{i,j}, the sum over k of (-1)^(j-k) C(i-k, j-k) f_{i,k}, is
+    the transform `_f_to_h` of degree i, applied to each row in place.
+    """
+    seen: set[int] = set()
+    for i, group in groupby(sorted(facets, key=int.bit_count, reverse=True),
+                            int.bit_count):
+        row = [0] * (i + 1)  # f_{i,0..i}, then h_{i,0..i}
+        for m in group:
+            sub = m
+            while True:
+                if sub not in seen:
+                    seen.add(sub)
+                    row[sub.bit_count()] += 1
+                if not sub:
+                    break
+                sub = (sub - 1) & m
+        yield i, _f_to_h(row)
+
+
 def _flag_graph(delta: SimplicialComplex) -> tuple[int, ...] | None:
     """Adjacency bitsets of the graph H with Ind(H) = delta on its support,
     or None when delta is not flag.
@@ -237,10 +280,19 @@ def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
     """Exact decision with a replayable certificate or a stuck subcomplex.
 
     A refutation is the input complex itself: its facets, sorted as strings.
+    A VD complex is shellable (Bjorner-Wachs 1997, Thm 11.3), and a
+    shellable one has no negative h-triangle entry (Bjorner-Wachs 1996,
+    Thm 3.4), so within H_TRIANGLE_BOUND a negative entry refutes the input
+    before any search.
     """
     if delta.is_void:
         raise ComplexError("void complex: vertex decomposability undefined")
-    tree = _search(delta._masks, _top_order(delta), set())
+    masks = delta._masks
+    if (sum(1 << m.bit_count() for m in masks) <= H_TRIANGLE_BOUND
+            and any(min(row) < 0 for _, row in _h_triangle(masks))):
+        tree = None
+    else:
+        tree = _search(masks, _top_order(delta), set())
     if tree is not None:
 
         def named(node: Tree) -> Tree:
@@ -297,8 +349,12 @@ def shedding_vertices(delta: SimplicialComplex, weak: bool = False) -> list[str]
     A flag complex is Ind(H) of a graph H, and the graph engine decides
     (beta) with `_witness`, which also covers a neighbour y of x with N[y]
     inside N[x] (Woodroofe 2009, Lemma 6), and the deletions and links with
-    `_vd`.  Any other complex asks the facet search whether each deletion
-    and link has a certificate, with one refuted set for all its vertices.
+    `_vd`.  In strong mode the engine decides the whole complex first.
+    When it is not VD no vertex sheds, since a shedding vertex with a VD
+    deletion and link would make it VD.  When it is, so is every link
+    (Provan-Billera 1980), and only the deletions are decided.  Any other
+    complex asks the facet search whether each deletion and link has a
+    certificate, with one refuted set for all its vertices.
     """
     if delta.is_void:
         raise ComplexError("void complex has no shedding vertices")
@@ -317,12 +373,14 @@ def shedding_vertices(delta: SimplicialComplex, weak: bool = False) -> list[str]
         return out
     support = reduce(int.__or__, delta._masks)
     engine = _Memo()
+    if not weak and not _vd(adj, support, engine):
+        return out
     for x in _top_order(delta):
         i = x.bit_length() - 1
         link = support & ~(adj[i] | x)
         if _witness(adj, link, adj[i], engine):
             continue
-        if weak or (_vd(adj, support ^ x, engine) and _vd(adj, link, engine)):
+        if weak or _vd(adj, support ^ x, engine):
             out.append(delta.ambient[i])
     return out
 

@@ -48,9 +48,23 @@ def _mask_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _position_key(mask: int) -> str:
+    """A string that sorts as the tuple of the mask's positions.
+
+    Character i is "0" where bit i is set and "1" where it is not, up to
+    the highest set bit.  Take the first position where two masks differ.
+    If the mask without it has a later position, the mask that holds it has
+    the smaller tuple and the smaller character; if not, the mask without
+    it has a prefix for its tuple and a prefix for its string.  The string
+    is the complement on bits 0..L - 1, with bit L set as a stop, read
+    backwards from bit 0.  It takes no loop over the bits.
+    """
+    return bin(mask ^ ((2 << mask.bit_length()) - 1))[:2:-1]
+
+
 def _by_position(masks: Iterable[int]) -> list[int]:
     """Vertex-subset masks in lexicographic order of their position tuples."""
-    return sorted(masks, key=lambda m: tuple(_mask_bits(m)))
+    return sorted(masks, key=_position_key)
 
 
 def _close_up(masks: Iterable[int], keep: int) -> list[int]:

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whiskers import (ComplexError, SimplicialComplex, build_whiskered,
-                      cycle_graph, independence_complex, simplex_on,
-                      trivial_spec)
+from whiskers import (ComplexError, ResourceLimit, SimplicialComplex,
+                      build_whiskered, cycle_graph, independence_complex,
+                      simplex_on, trivial_spec)
+from whiskers.cli import run
+from whiskers.complexes import FACE_ENUMERATION_BOUND
+from whiskers.decomposability import is_scm_via_dual
 from whiskers.fields import GF2, QQ, FieldSpec
 from whiskers.graph import _by_position
 from whiskers.ideals import MonomialIdeal, ideal_of
@@ -149,6 +152,39 @@ def test_nonfaces_of_a_large_independence_complex_are_fast():
     assert time.process_time() - start < 1.0
     # the edges of the build, since Ind of a graph is a flag complex
     assert len(nonfaces) == 20 and all(len(f) == 2 for f in nonfaces)
+
+
+def test_face_enumeration_bound(monkeypatch, capsys):
+    """The face set holds at most FACE_ENUMERATION_BOUND faces, and every
+    route that reads it raises one ResourceLimit with a one-line message:
+    the f-vector, homology, minimal nonfaces and the SCM test, and the CLI
+    exits 3 when a property suite goes over."""
+    message = f"^faces exceed the face enumeration bound {FACE_ENUMERATION_BOUND}$"
+    k = FACE_ENUMERATION_BOUND.bit_length() - 1
+    assert simplex_on([f"v{i}" for i in range(k)]).f_vector()[-1] == 1
+    over = simplex_on([f"v{i}" for i in range(k + 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match=message):
+            over.f_vector()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # refused before its 2^(k + 1) faces are listed
+    ind = independence_complex(c6())  # 18 faces, 8 at most per facet
+    monkeypatch.setattr("whiskers.complexes.FACE_ENUMERATION_BOUND", 18)
+    assert ind.f_vector() == (1, 6, 9, 2)
+    monkeypatch.setattr("whiskers.complexes.FACE_ENUMERATION_BOUND", 17)
+    message = "^faces exceed the face enumeration bound 17$"
+    for route in (ind.f_vector, ind.reduced_homology_dims, ind.minimal_nonfaces,
+                  ind.alexander_dual, lambda: is_scm_via_dual(ind)):
+        with pytest.raises(ResourceLimit, match=message):
+            route()
+    monkeypatch.setattr("whiskers.complexes.FACE_ENUMERATION_BOUND", 4)
+    capsys.readouterr()
+    assert run(["properties", "--count", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "resource limit: faces exceed the face enumeration bound 4\n")
 
 
 def test_full_simplex_has_void_dual():

@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -338,6 +339,169 @@ def test_facet_search_refutation_budget(monkeypatch):
         is_vertex_decomposable(small)
     with pytest.raises(ResourceLimit, match=message):
         shedding_vertices(small)
+
+
+# -- the h-triangle check ------------------------------------------------------
+
+def _ref_h_triangle(c):
+    """The h-triangle from every subset of the support, each face with its
+    largest facet, and the polynomial identity sum_j h_{i,j} x^(i-j) =
+    sum_k f_{i,k} (x - 1)^(i-k) (Bjorner-Wachs 1996), expanded by repeated
+    multiplication: no binomial and no sign rule is shared with the code."""
+    facets = c.facets
+    support = sorted({v for f in facets for v in f})
+    f_rows = {}
+    for m in range(1 << len(support)):
+        face = {support[b] for b in range(len(support)) if m >> b & 1}
+        degree = max((len(f) for f in facets if face <= f), default=None)
+        if degree is not None:
+            f_rows.setdefault(degree, [0] * (degree + 1))[len(face)] += 1
+    rows = {}
+    for i, f in f_rows.items():
+        poly = [0] * (i + 1)  # poly[e] is the coefficient of x^e
+        for k in range(i + 1):
+            power = [1]
+            for _ in range(i - k):  # times (x - 1)
+                power = [(power[e - 1] if e else 0) - (power[e] if e < len(power) else 0)
+                         for e in range(len(power) + 1)]
+            for e, a in enumerate(power):
+                poly[e] += f[k] * a
+        rows[i] = [poly[i - j] for j in range(i + 1)]
+    return rows
+
+
+def _h_cases():
+    """Every antichain on at most 4 vertices, seeded random complexes on
+    1-9 vertices, and Ind of seeded graphs and builds of up to 12 vertices."""
+    cases = []
+    for n in range(1, 5):
+        names = [str(i) for i in range(n)]
+        cases += [SimplicialComplex(names, [[names[b] for b in range(n) if m >> b & 1]
+                                            for m in ac])
+                  for ac in all_antichains(n)]
+    rng = random.Random("h-triangle")
+    for t in range(600):
+        names = [str(i + 1) for i in range(t % 9 + 1)]
+        cases.append(SimplicialComplex(names, random_complex_facets(rng, len(names))))
+    cases += [independence_complex(random_graph(rng, rng.randint(1, 12), 0.35))
+              for _ in range(30)]
+    cases += [independence_complex(random_build(rng, kind, max_base=6, max_total=12).graph)
+              for kind in ("pi", "cc", "mc", "md") * 5]
+    return cases
+
+
+def test_h_triangle_matches_the_face_sweep():
+    """Rows come largest facet size first, one per size that has a facet,
+    and equal the reference on every antichain of at most 4 vertices, on
+    seeded random complexes and on Ind of seeded builds and graphs."""
+    nonpure = 0
+    for c in _h_cases():
+        rows = list(decomposability._h_triangle(c._masks))
+        sizes = [i for i, _ in rows]
+        assert sizes == sorted({m.bit_count() for m in c._masks}, reverse=True)
+        assert dict(rows) == _ref_h_triangle(c), c.facet_tuples()
+        nonpure += len(sizes) > 1
+    assert nonpure > 100
+
+
+def test_h_triangle_counts_the_restrictions_of_a_shelling():
+    """On a shellable complex h_{i,j} counts the facets of size i whose
+    restriction, the vertices v with F - v in an earlier facet, has size j
+    (Bjorner-Wachs 1996, Thm 3.4), pure or not."""
+    shelled = nonpure = 0
+    for c in _h_cases():
+        if len(c._masks) > 8:
+            continue
+        order = is_shellable(c)
+        if order is None:
+            continue
+        shelled += 1
+        counts = {}
+        for k, f in enumerate(map(set, order)):
+            r = [v for v in f if any(f - {v} <= set(e) for e in order[:k])]
+            counts[len(f), len(r)] = counts.get((len(f), len(r)), 0) + 1
+        rows = dict(decomposability._h_triangle(c._masks))
+        nonpure += len(rows) > 1
+        assert {(i, j): h for i, row in rows.items()
+                for j, h in enumerate(row) if h} == counts, order
+    assert shelled > 300 and nonpure > 100
+
+
+def test_h_triangle_never_refutes_a_vd_complex():
+    """A negative entry holds only where the brute-force oracle finds no
+    decomposition, and it refutes most of the complexes that are not VD."""
+    refuted = not_vd = 0
+    for c in _h_cases():
+        if len(c.ambient) > 9:
+            continue
+        negative = any(min(row) < 0 for _, row in
+                       decomposability._h_triangle(c._masks))
+        vd = is_vd_brute_force(c)
+        assert not (negative and vd), c.facet_tuples()
+        refuted += negative
+        not_vd += not vd
+    assert refuted > not_vd // 2 > 0
+
+
+def test_h_triangle_refutes_before_the_search(monkeypatch):
+    """Ind(C4) and Ind(C6) have negative entries (h_{2,2} = -1 and
+    h_{3,2} = -3), so they are refuted without a search and list their
+    facets as the search would.  A 7-vertex graph whose Ind is a 4-cycle
+    beside a path, six edges in all, has h = (1, 5, 0): it is not VD, and
+    only the search can say so."""
+    def no_search(*args):
+        raise AssertionError("the facet search ran")
+
+    monkeypatch.setattr(decomposability, "_search", no_search)
+    c4 = independence_complex(cycle_graph(["a", "b", "c", "d"]))
+    assert dict(decomposability._h_triangle(c4._masks)) == {2: [1, 2, -1]}
+    assert is_vertex_decomposable(c4).to_lines() == [
+        "stuck", "  facet a c", "  facet b d"]
+    c6_ind = independence_complex(c6())
+    assert dict(decomposability._h_triangle(c6_ind._masks))[3] == [1, 3, -3, 1]
+    assert is_vertex_decomposable(c6_ind).to_lines() == [
+        "stuck", "  facet v1 v3 v5", "  facet v1 v4", "  facet v2 v4 v6",
+        "  facet v2 v5", "  facet v3 v6"]
+    edges = ("1-2 1-3 1-4 1-7 2-4 2-5 2-6 3-4 3-5 3-6 3-7 4-7 5-6 5-7 "
+             "6-7").split()
+    g7 = independence_complex(Graph([], [tuple(e.split("-")) for e in edges]))
+    assert dict(decomposability._h_triangle(g7._masks)) == {2: [1, 5, 0]}
+    with pytest.raises(AssertionError, match="the facet search ran"):
+        is_vertex_decomposable(g7)
+    monkeypatch.undo()
+    assert is_vertex_decomposable(g7).to_lines() == [
+        "stuck", "  facet 1 5", "  facet 1 6", "  facet 2 3", "  facet 2 7",
+        "  facet 4 5", "  facet 4 6"]
+
+
+def test_h_triangle_check_changes_no_output(monkeypatch):
+    """With the check switched off by a zero bound, every complex gets the
+    same certificate or refutation text from the search alone."""
+    cases = _h_cases()
+    with_check = [is_vertex_decomposable(c).to_lines() for c in cases]
+    monkeypatch.setattr(decomposability, "H_TRIANGLE_BOUND", 0)
+    assert [is_vertex_decomposable(c).to_lines() for c in cases] == with_check
+
+
+def test_h_triangle_bound(monkeypatch):
+    """Past H_TRIANGLE_BOUND (a sum of 2^|F| over the facets) the check is
+    skipped, and the search refutes two disjoint 20-vertex facets at once.
+    The K_n + two edges inputs of the refutation budget test keep h_{2,2} =
+    C(n, 2) - n - 1 >= 0, so the check lets them through to the search."""
+    for n in (8, 13):
+        rows = dict(decomposability._h_triangle(_k_n_and_two_edges(n)._masks))
+        assert rows == {2: [1, n + 2, comb(n, 2) - n - 1]}
+
+    def no_walk(facets):
+        raise AssertionError("the h-triangle walk ran")
+
+    monkeypatch.setattr(decomposability, "_h_triangle", no_walk)
+    two = SimplicialComplex([f"a{i}" for i in range(20)] + [f"b{i}" for i in range(20)],
+                            [[f"a{i}" for i in range(20)], [f"b{i}" for i in range(20)]])
+    start = time.process_time()
+    cert = is_vertex_decomposable(two)
+    assert time.process_time() - start < 1
+    assert not cert.decomposable and len(cert.refutation) == 2
 
 
 def test_vd_respects_components():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from whiskers import (Graph, GraphError, ResourceLimit, complete_graph,
                       cycle_graph, default_spec, format_graph, graph_to_dot,
                       path_graph)
-from whiskers.graph import (MIS_ENUMERATION_BOUND, _component, _isolated,
-                            _mask_bits, _mis_walk)
+from whiskers.graph import (MIS_ENUMERATION_BOUND, _by_position, _component,
+                            _isolated, _mask_bits, _mis_walk)
 from whiskers.randinst import random_graph
 
 from conftest import c6, fresh_copy, seeded_graphs
@@ -206,6 +206,21 @@ def test_mis_walk_matches_the_generator_reference():
                             lambda r: out.append(r) or len(out) == stop)
                 cut.append(out)
             assert cut[0] == cut[1] == seqs[0][:stop]
+
+
+def test_by_position_matches_the_tuple_key():
+    """`_by_position`'s string key sorts masks as the tuples of their
+    positions did: on random families over 0-40 and 512 positions, with
+    the empty mask, repeats and positions up to 511."""
+    rng = random.Random(59)
+    for t in range(300):
+        n = 512 if t % 10 == 9 else t % 41
+        family = [rng.getrandbits(n) & rng.getrandbits(n)
+                  for _ in range(rng.randint(0, 80))]
+        family += [0, (1 << n) - 1, 1 << max(n - 1, 0)] + family[:5]
+        rng.shuffle(family)
+        assert _by_position(family) == sorted(family,
+                                              key=lambda m: tuple(_mask_bits(m)))
 
 
 def test_components_and_union():
