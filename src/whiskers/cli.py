@@ -30,7 +30,10 @@ LIMIT_ERRORS = (ResourceLimit,)
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: byte {exc.start} is not UTF-8") from None
 
 
 def _load(args):

@@ -11,8 +11,8 @@ from functools import reduce
 from typing import Iterable, Iterator
 
 from .fields import QQ, FieldSpec, _rank, rank_gf2
-from .graph import (Graph, ResourceLimit, _by_position, _close_up, _mask_bits,
-                    _mask_tuples)
+from .graph import (MAX_VERTICES, Graph, ResourceLimit, _by_position, _close_up,
+                    _mask_bits, _mask_tuples)
 
 # Faces one face set may hold.  The tests and the property suites reach at
 # most 23,168; 2^18 faces took 0.05 s and 15 MB on a 2-vCPU Xeon with
@@ -135,6 +135,11 @@ class SimplicialComplex(_MaskFamily):
     __slots__ = ("_graph_adj",)
 
     def __init__(self, ambient: Iterable[str], facets: Iterable[Iterable[str]]):
+        """The checked entry for names and facets from outside, within the
+        graphs' MAX_VERTICES: a certificate's depth is at most its support."""
+        ambient = tuple(ambient)
+        if len(ambient) > MAX_VERTICES:
+            raise ComplexError(f"complex exceeds {MAX_VERTICES} vertices")
         self.ambient, self._masks = _normalise(ambient, facets, ComplexError, "facet")
 
     @property

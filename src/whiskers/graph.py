@@ -7,9 +7,11 @@ run on machine words / Python ints.
 
 The graph engine `_vd` decides vertex decomposability of Ind(G[u]) on
 vertex masks within VD_GRAPH_NODE_BOUND, and lists no maximal independent
-set; `_vd` and `_witness` give its rules.  It answers `is_vd_graph`, and
-`decomposability.shedding_vertices` on a flag complex, which asks `_witness`
-for (beta) too.  `ideals.betti_recursive_cover` folds its memo's splits.
+set.  `_witness` is its one (beta) test, Woodroofe's dominated neighbour
+(2009, Lemma 6) included, and `_vd` gives its rules.  The engine answers
+`is_vd_graph`, and `decomposability.shedding_vertices` on a flag complex,
+which asks `_witness` for (beta) too.  `ideals.betti_recursive_cover`
+folds its memo's splits.
 Every link of a VD complex is VD (Provan-Billera 1980; Bjorner-Wachs 1997
 for non-pure complexes), so a vertex mask is refuted at the first trial
 vertex whose link is not VD; a VD mask meets none and keeps its split.
@@ -28,8 +30,8 @@ MAX_VERTICES = 512  # documented cap; exhaustive algorithms dominate anyway
 MIS_ENUMERATION_BOUND = 1 << 16
 # Work one graph-level VD verdict or shedding list may take: engine nodes
 # (distinct vertex sets) plus witness branches.  The tests, the property
-# suites and the benchmark's inputs take at most about 1,400; a unit costs
-# 2-80 us on a 2-vCPU Xeon with Python 3.11, so the bound is a few seconds.
+# suites and the benchmark's inputs take at most 1,420; a unit costs 2-80 us
+# on a 2-vCPU Xeon with Python 3.11, so the bound is a few seconds.
 VD_GRAPH_NODE_BOUND = 1 << 17
 
 
@@ -175,13 +177,13 @@ def _vd(adj: tuple[int, ...], u: int, memo: _Memo) -> int:
     is, so the memo key is ``u`` without them.  Separate components give a
     join, VD exactly when each part is (Provan-Billera); the split is then
     the lowest vertex's component.  Otherwise it is the bit of an x where
-    Ind(G[u] - x) and Ind(G[u] - N[x]) are VD and (beta) holds, and a
-    neighbour y with N[y] inside N[x] makes (beta) hold at once (Woodroofe
-    2009, Lemma 6), so such x go first, then the rest by descending degree.
-    Where (beta) holds the link Ind(G[u] - N[x]) is decided first: a link
-    of a VD complex is VD, so one that is not gives 0 at once.  A VD u
-    never meets such a link, so its split is the first x in that order
-    whose deletion and link are both VD.
+    Ind(G[u] - x) and Ind(G[u] - N[x]) are VD and (beta) holds, trying x
+    by descending degree in G[u].  `_witness` decides (beta); a neighbour y
+    with N[y] inside N[x], which makes (beta) hold (Woodroofe 2009, Lemma
+    6), ends its first scan.  Where (beta) holds the link Ind(G[u] - N[x])
+    is decided first: a link of a VD complex is VD, so one that is not
+    gives 0 at once.  A VD u never meets such a link, so its split is the
+    first x in that order whose deletion and link are both VD.
     """
     u &= ~_isolated(adj, u)
     if not u:
@@ -202,21 +204,11 @@ def _vd(adj: tuple[int, ...], u: int, memo: _Memo) -> int:
         i = low.bit_length() - 1
         closed[i] = adj[i] & u | low
         rest ^= low
-    dominated = 0  # the x with a neighbour y such that N[y] lies in N[x]
-    for y, near in closed.items():
-        rest = near ^ 1 << y
-        while rest:
-            low = rest & -rest
-            if not near & ~closed[low.bit_length() - 1]:
-                dominated |= low
-            rest ^= low
-    trials = sorted(closed, key=lambda i: (not dominated >> i & 1,
-                                           -closed[i].bit_count()))
     split = 0
-    for x in trials:
+    for x in sorted(closed, key=lambda i: -closed[i].bit_count()):
         bit = 1 << x
         link = u & ~closed[x]
-        if not dominated & bit and _witness(adj, link, adj[x] & u, memo):
+        if _witness(adj, link, adj[x] & u, memo):
             continue
         if not _vd(adj, link, memo):
             break

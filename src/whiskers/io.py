@@ -90,12 +90,14 @@ def _parse_whisker(lineno: int, rest: str, prefix: str) -> Graph:
     m = _EDGES_RE.fullmatch(rest.strip())
     if not m:
         raise ParseError(f"line {lineno}: expected 'size=<n> edges=(...)'")
-    size = int(m.group(1))
+    digits = m.group(1).lstrip("0") or "0"
+    # int() refuses 4,300 digits, so the length is checked first
+    if len(digits) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
+        raise ParseError(f"line {lineno}: whisker size exceeds "
+                         f"the {MAX_VERTICES}-vertex graph bound")
+    size = int(digits)
     if size < 1:
         raise ParseError(f"line {lineno}: whisker size must be >= 1")
-    if size > MAX_VERTICES:
-        raise ParseError(f"line {lineno}: whisker size {size} exceeds "
-                         f"the {MAX_VERTICES}-vertex graph bound")
     names = [f"{prefix}.{k + 1}" for k in range(size)]
     edges = []
     spec = m.group(2).strip()

@@ -15,9 +15,9 @@ from whiskers import (ComplexError, ResourceLimit, SimplicialComplex,
                       simplex_on, trivial_spec)
 from whiskers.cli import run
 from whiskers.complexes import FACE_ENUMERATION_BOUND
-from whiskers.decomposability import is_scm_via_dual
+from whiskers.decomposability import is_scm_via_dual, is_vertex_decomposable
 from whiskers.fields import GF2, QQ, FieldSpec
-from whiskers.graph import _by_position
+from whiskers.graph import MAX_VERTICES, _by_position
 from whiskers.ideals import MonomialIdeal, ideal_of
 from whiskers.randinst import random_complex_facets
 
@@ -57,6 +57,18 @@ def test_facets_form_antichain():
         facets = SimplicialComplex(amb, family).facets
         assert len(facets) == len(want) and set(facets) == want
         assert list(facets) == sorted(facets, key=lambda f: sorted(map(int, f)))
+
+
+def test_vertex_cap():
+    """A complex from outside has at most MAX_VERTICES ambient vertices, as
+    a graph has: a certificate is at most as deep as its support, so a star
+    on the cap still gets one within the recursion limit."""
+    leaves = [f"x{i}" for i in range(MAX_VERTICES)]
+    star = SimplicialComplex(["c"] + leaves[1:], [("c", x) for x in leaves[1:]])
+    assert len(star.ambient) == MAX_VERTICES
+    assert is_vertex_decomposable(star).decomposable
+    with pytest.raises(ComplexError, match=f"^complex exceeds {MAX_VERTICES} vertices$"):
+        SimplicialComplex(["c"] + leaves, [("c", x) for x in leaves])
 
 
 def test_independence_complex_of_large_pi_build():

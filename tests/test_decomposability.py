@@ -223,9 +223,20 @@ def test_vd_exhaustive_4_vertices():
         assert cert.decomposable == is_vd_brute_force(c)
 
 
-# VD, with shedding vertices v5 and v6.  (beta) holds at v2 too, with a VD
-# link and a deletion that is not VD, and the engine tries v2 before v5: a
-# search that refuted a node at a deletion that is not VD would refute it.
+# Two VD graphs that a search refuting a node at a deletion that is not VD
+# would refute.  Each has a vertex where (beta) holds with a VD link and a
+# deletion that is not VD, and the engine, trying vertices by descending
+# degree, meets it before a shedding vertex.  In the seven-vertex graph,
+# with shedding vertices v5 and v6, that vertex is v1, which the engine
+# tries first at the root.  The nine-vertex graph sheds v5 and v6 too; the
+# engine tries v5 (degree 7) first, and in its deletion (beta) holds at v2
+# in that way, which comes before the shedding vertex v6 there.
+def _seven_vertex_graph():
+    edges = "v1v2 v1v5 v1v6 v2v3 v2v5 v3v6 v3v7 v4v6 v5v7"
+    return Graph([f"v{i}" for i in range(1, 8)],
+                 [(e[:2], e[2:]) for e in edges.split()])
+
+
 def _nine_vertex_graph():
     edges = ("v1v3 v1v4 v1v5 v1v7 v1v9 v2v3 v2v4 v2v5 v2v6 v2v9 v3v5 v3v6 "
              "v4v5 v4v6 v4v8 v5v6 v5v7 v5v8 v6v7 v8v9")
@@ -235,10 +246,10 @@ def _nine_vertex_graph():
 
 def test_graph_and_complex_vd_agree():
     """The graph engine against the facet search, which share no code:
-    the graph above and seeded graphs of up to 12 vertices, some with
+    the graphs above and seeded graphs of up to 12 vertices, some with
     isolated vertices and some with three or four components."""
     rng = random.Random(17)
-    cases = [_nine_vertex_graph()]
+    cases = [_seven_vertex_graph(), _nine_vertex_graph()]
     cases += [random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.8))
               for _ in range(160)]
     for t in range(60):
@@ -262,13 +273,59 @@ def test_graph_and_complex_vd_agree():
     assert sum(len(g.components()) >= 3 for g in cases) >= 60
 
 
+def test_every_recorded_split_is_valid():
+    """Each split in the engine's memo against the references `_split` and
+    `is_vd_brute_force`, on the graphs above, seeded graphs of up to 10
+    vertices and md builds, whole and without their base vertices.  At a
+    shed vertex x, (beta) holds on Ind(G[u]) and the deletion and link are
+    VD; a split of several vertices is a union of components of G[u], so no
+    edge of G[u] crosses it; and a node recorded 0 is not VD."""
+    rng = random.Random(29)
+    cases = [_seven_vertex_graph(), _nine_vertex_graph()]
+    cases += [random_graph(rng, rng.randint(2, 10), rng.uniform(0.15, 0.7))
+              for _ in range(80)]
+    builds = [random_build(rng, "md", 6, 12) for _ in range(20)]
+    cases += [w.graph for w in builds]
+    cases += [w.graph.delete_vertices(w.base.vertices) for w in builds]
+    brute = {}
+
+    def vd(facets):
+        key = frozenset(map(frozenset, facets))
+        if key not in brute:
+            brute[key] = is_vd_brute_force(SimplicialComplex(
+                sorted(set().union(*key)), key))
+        return brute[key]
+
+    sheds = products = refuted = 0
+    for g in cases:
+        memo = graph._Memo()
+        graph._vd(g._adj, (1 << len(g.vertices)) - 1, memo)
+        for u, split in memo.items():
+            h = g._induce_mask(u)
+            if not split:
+                assert not vd(independence_complex(h).facets)
+                refuted += 1
+            elif split & (split - 1):
+                assert split & ~u == 0 and split != u
+                part = g._from_mask(split)
+                assert all((a in part) == (b in part) for a, b in h.edges)
+                products += 1
+            else:
+                facets = frozenset(independence_complex(h).facets)
+                parts = _split(facets, g.vertices[split.bit_length() - 1])
+                assert parts is not None
+                assert vd(parts[0]) and vd(parts[1])
+                sheds += 1
+    assert sheds >= 400 and products >= 40 and refuted >= 40
+
+
 def test_flag_shedding_matches_label_reference():
     """Strong and weak shedding lists of seeded independence complexes,
     which are flag and so go to the graph engine, against the label-level
-    reference search below and its (beta) test, and the graph above."""
+    reference search below and its (beta) test, and the graphs above."""
     rng = random.Random(19)
     memo = {}
-    cases = [_nine_vertex_graph()]
+    cases = [_seven_vertex_graph(), _nine_vertex_graph()]
     for t in range(80):
         g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.15, 0.7))
         if t % 4 == 0:

@@ -19,7 +19,7 @@ from whiskers import (build_whiskered, cycle_graph, format_complex, format_graph
 from whiskers.cli import run
 from whiskers.decomposability import VD_REFUTATION_BOUND
 from whiskers.fields import FieldSpec
-from whiskers.graph import MIS_ENUMERATION_BOUND
+from whiskers.graph import MAX_VERTICES, MIS_ENUMERATION_BOUND
 from whiskers.ideals import ORACLE_AMBIENT_CEILING
 from whiskers.io import ParseError
 from whiskers.properties import COUNT_BOUND
@@ -301,11 +301,29 @@ def test_cli_error_codes(files, capsys):
             ("dup-b.part", ODD_EVEN_TEXT + "whiskerB U1: size=1 edges=()\n"
                                            "whiskerB U1: size=2 edges=()\n"),
             # rejected before any of the 10^8 whisker names is built
-            ("huge.part", EARS_TEXT + "whiskerA W1: size=100000000 edges=()\n")):
+            ("huge.part", EARS_TEXT + "whiskerA W1: size=100000000 edges=()\n"),
+            # rejected before int(), which refuses more than 4,300 digits
+            ("long.part", EARS_TEXT + "whiskerA W1: size=" + "9" * 5000
+                          + " edges=()\n")):
         (files / name).write_text(text)
-        code, _ = run_cli("build", "--graph", str(files / "c6.graph"),
-                          "--partition", str(files / name))
-        assert code == 2, name
+        capsys.readouterr()
+        code, out = run_cli("build", "--graph", str(files / "c6.graph"),
+                            "--partition", str(files / name))
+        err = capsys.readouterr().err
+        assert (code, out, len(err.splitlines())) == (2, "", 1), name
+    # a byte that is not UTF-8, and a star one vertex past the cap, whose
+    # certificate would recurse once per leaf
+    (files / "latin1.graph").write_bytes(b"edge v1 \xff\n")
+    (files / "star.cx").write_text(
+        "".join(f"facet c x{i}\n" for i in range(MAX_VERTICES)))
+    for flag, name, message in (
+            ("--graph", "latin1.graph", "byte 8 is not UTF-8"),
+            ("--complex", "star.cx", f"complex exceeds {MAX_VERTICES} vertices")):
+        capsys.readouterr()
+        code, out = run_cli("check-vd", flag, str(files / name))
+        err = capsys.readouterr().err
+        assert (code, out, len(err.splitlines())) == (2, "", 1), name
+        assert err.startswith("error: ") and err.endswith(f"{message}\n"), name
     # checked before any suite runs: an unbounded count would run for weeks
     capsys.readouterr()
     for count, status, err in (
