@@ -1,19 +1,22 @@
 """Vertex decomposability certificates, shedding vertices, shellability,
 unmixedness, and the componentwise-linear-dual criterion.
 
-Two searches decide vertex decomposability, and they share no code.  The
-graph engine of `graph` answers `is_vd_graph`, re-exported here, and
+The graph engine of `graph` answers `is_vd_graph`, re-exported here, and
 `shedding_vertices` on a flag complex Ind(H): only `_flag_graph` reads its
 facets, and the engine decides (beta), the deletion and the link on H.
 
-The facet search `_search` gives `is_vertex_decomposable` its certificate,
-and `shedding_vertices` its verdicts on a complex that is not flag.  It has
-one mode: it follows the label order and returns a certificate tree or
-None.  A certificate names shed vertices that its replay re-splits facet by
-facet, and its text depends on the trial order, so certificates stay on the
-facet search and `check-vd` output does not change.  It starts from the
-complex's own ``_masks`` and keeps every subcomplex as int bitmasks over
-those position bits, never renumbered.
+Certificates come from two searches that find the same trees.  A
+certificate names shed vertices that its replay re-splits facet by facet,
+and its text depends on the trial order, so both follow one label order
+and `check-vd` output does not change with the route.  On a flag complex
+Ind(H), `is_vertex_decomposable` runs the graph walk `_walk`, which keeps
+each subcomplex Ind(H[u]) as its vertex mask u and asks `graph._witness`
+for (beta).  Every other complex goes to the facet search `_search`, which
+also gives `shedding_vertices` its verdicts on a complex that is not flag.
+The facet search starts from the complex's own ``_masks`` and keeps every
+subcomplex as int bitmasks over those position bits, never renumbered.
+Both have one mode: they follow the label order and return a certificate
+tree or None.
 
 The trial order is descending degree in the 1-skeleton, ties broken by each
 subcomplex's labels, so the labels fix which certificate is found.  The top
@@ -22,11 +25,13 @@ it, a child's labels are its support in the order of the parent's labels as
 decimal strings (0, 1, 10, 11, ..., 2, ...); under ten labels that is the
 numeric order.
 
-The search remembers refutations only: a set of facet sets, each with its
-cone points (the vertices in every facet) removed, that lives for one
-top-level call, so a long-lived process keeps none of it.  A cone x*G is
-vertex decomposable exactly when G is (Provan-Billera), so a cone shares
-its base's entry, and vertex decomposability does not depend on the trial
+A search remembers refutations only, in a set that lives for one
+top-level call, so a long-lived process keeps none of it.  The facet
+search keeps facet sets, each with its cone points (the vertices in every
+facet) removed, and the walk keeps vertex masks without their isolated
+vertices, which are the cone points of Ind(H[u]).  A cone x*G is vertex
+decomposable exactly when G is (Provan-Billera), so a cone shares its
+base's entry, and vertex decomposability does not depend on the trial
 order, so a refutation holds on every path.  A decomposable subcomplex met
 again is searched again, on its own labels.  Every link of a VD complex is
 VD (Provan-Billera 1980; Bjorner-Wachs 1997 for non-pure complexes), so
@@ -41,7 +46,7 @@ parent on to the next trial vertex and a failed link refutes the parent,
 so the search is stuck exactly when the top complex is, and
 ``VDCertificate.refutation`` lists the input's facets.  The label-level
 ``_split`` serves only the certificate replay and the brute-force oracle,
-which check both searches independently.
+which check every search independently.
 
 A refutation found without the search has the same text.  A VD complex
 is shellable (Bjorner-Wachs 1997, Thm 11.3), and a shellable complex, pure
@@ -74,8 +79,9 @@ DEFAULT_SHELLING_FACET_BOUND = 12
 # Vertices of an SCM test, so at most 2^14 faces: the 6-skeleton of the
 # 13-simplex (3,432 facets) took 0.46 s and 19 MB peak on the same machine.
 DEFAULT_SCM_AMBIENT_BOUND = 14
-# Subcomplexes one facet search may refute.  A certificate on F facets has
-# F - 1 shed nodes, which the input bounds, so only refutations are counted.
+# Subcomplexes one search, the facet search or the graph walk, may refute.
+# Both refute the same subcomplexes.  A certificate on F facets has F - 1
+# shed nodes, which the input bounds, so only refutations are counted.
 # The tests, the property suites and the benchmark's inputs refute at most
 # 266, and random Ind(G) of 16-30 vertices at most 344; the 1-skeleton of
 # K_n beside two disjoint edges reaches the bound in 0.2-0.5 s for every n
@@ -206,10 +212,70 @@ def _search(facets: Collection[int], order: list[int],
         if tree_d is None:
             continue
         return ("shed", x, tree_d, tree_l)
+    _refute(refuted, key)
+    return None
+
+
+def _refute(refuted: set, key) -> None:
     refuted.add(key)
     if len(refuted) > VD_REFUTATION_BOUND:
         raise ResourceLimit(f"{len(refuted)} refuted subcomplexes exceeds the "
                             f"facet search refutation bound {VD_REFUTATION_BOUND}")
+
+
+def _walk(adj: tuple[int, ...], u: int, order: list[int],
+          refuted: set[int]) -> Tree | None:
+    """`_search` on Ind(G[u]), kept as the vertex mask ``u`` of the flag
+    graph G with adjacency bitsets ``adj``.
+
+    Ind(G[u]) is a simplex when G[u] has no edge, and its cone points are
+    the isolated vertices of G[u], so ``refuted`` holds u without them.
+    Where (beta) holds at x, the deletion is Ind(G[u - x]) and the link is
+    Ind(G[u - N[x]]), with u - x and u - N[x] as their supports, and
+    `graph._witness` decides (beta) on u - N[x] and N(x) in u.  A cone
+    point never sheds, since its deletion is void.  Descending degree in
+    the 1-skeleton is ascending degree in G[u], ties by label.  Each node
+    gives `_witness` a fresh `_Memo`, so VD_GRAPH_NODE_BOUND bounds one
+    node's (beta) work, and refutations count against
+    VD_REFUTATION_BOUND as in `_search`.
+    """
+    near = {}  # N(b) in u, for each b of u in label order
+    key = 0
+    for b in order:
+        if b & u:
+            near[b] = nb = adj[b.bit_length() - 1] & u
+            if nb:
+                key |= b
+    if not key:
+        return ("simplex",)
+    if key in refuted:
+        return None
+    order = list(near)
+    below = [order[i] for i in _string_order(len(order))]
+    degree = {b: nb.bit_count() for b, nb in near.items() if nb}
+    memo = _Memo()
+    for x in sorted(degree, key=degree.__getitem__):
+        link = u & ~(near[x] | x)
+        if _witness(adj, link, near[x], memo):
+            continue
+        # G[u - x] loses its edges at x: the neighbours of x left isolated
+        drop = x
+        rest = near[x]
+        while rest:
+            low = rest & -rest
+            if near[low] == x:
+                drop |= low
+            rest ^= low
+        if key & ~drop in refuted:
+            continue
+        tree_l = _walk(adj, link, below, refuted)
+        if tree_l is None:
+            break
+        tree_d = _walk(adj, u ^ x, below, refuted)
+        if tree_d is None:
+            continue
+        return ("shed", x, tree_d, tree_l)
+    _refute(refuted, key)
     return None
 
 
@@ -283,7 +349,10 @@ def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
     A VD complex is shellable (Bjorner-Wachs 1997, Thm 11.3), and a
     shellable one has no negative h-triangle entry (Bjorner-Wachs 1996,
     Thm 3.4), so within H_TRIANGLE_BOUND a negative entry refutes the input
-    before any search.
+    before any search.  Otherwise a flag complex Ind(H) is decided by the
+    graph walk on H's vertex masks, free for `independence_complex`
+    outputs, and only a complex that is not flag by the facet search; both
+    give the same tree.
     """
     if delta.is_void:
         raise ComplexError("void complex: vertex decomposability undefined")
@@ -291,6 +360,8 @@ def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
     if (sum(1 << m.bit_count() for m in masks) <= H_TRIANGLE_BOUND
             and any(min(row) < 0 for _, row in _h_triangle(masks))):
         tree = None
+    elif (adj := _flag_graph(delta)) is not None:
+        tree = _walk(adj, reduce(int.__or__, masks), _top_order(delta), set())
     else:
         tree = _search(masks, _top_order(delta), set())
     if tree is not None:

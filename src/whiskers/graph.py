@@ -10,8 +10,9 @@ vertex masks within VD_GRAPH_NODE_BOUND, and lists no maximal independent
 set.  `_witness` is its one (beta) test, Woodroofe's dominated neighbour
 (2009, Lemma 6) included, and `_vd` gives its rules.  The engine answers
 `is_vd_graph`, and `decomposability.shedding_vertices` on a flag complex,
-which asks `_witness` for (beta) too.  `ideals.betti_recursive_cover`
-folds its memo's splits.
+which asks `_witness` for (beta) too, as does `decomposability._walk`,
+which certifies flag complexes.  `ideals.betti_recursive_cover` folds the
+engine memo's splits.
 Every link of a VD complex is VD (Provan-Billera 1980; Bjorner-Wachs 1997
 for non-pure complexes), so a vertex mask is refuted at the first trial
 vertex whose link is not VD; a VD mask meets none and keeps its split.

@@ -103,8 +103,14 @@ def _parse_whisker(lineno: int, rest: str, prefix: str) -> Graph:
     spec = m.group(2).strip()
     if spec:
         for pair in spec.split(","):
+            ends = [x.strip() for x in pair.split("-")]
+            # an index with more digits than the size is out of range, and
+            # is refused before int(), which stops at 4,300, and not echoed
+            if len(ends) == 2 and any(x.isdecimal() and len(x.lstrip("0")) > len(digits)
+                                      for x in ends):
+                raise ParseError(f"line {lineno}: edge index out of range")
             try:
-                a, b = (int(x) for x in pair.strip().split("-"))
+                a, b = (int(x) for x in ends)
             except ValueError:
                 raise ParseError(f"line {lineno}: bad edge pair {pair!r}") from None
             if not (1 <= a <= size and 1 <= b <= size):

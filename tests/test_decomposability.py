@@ -4,6 +4,7 @@ import hashlib
 import random
 import time
 import tracemalloc
+from functools import reduce
 from itertools import combinations
 from math import comb
 
@@ -244,10 +245,14 @@ def _nine_vertex_graph():
                  [(e[:2], e[2:]) for e in edges.split()])
 
 
-def test_graph_and_complex_vd_agree():
+def test_graph_and_complex_vd_agree(monkeypatch):
     """The graph engine against the facet search, which share no code:
     the graphs above and seeded graphs of up to 12 vertices, some with
-    isolated vertices and some with three or four components."""
+    isolated vertices and some with three or four components.  Ind(G) is
+    flag, so its certificate would come from the graph walk, which shares
+    `_witness` with the engine; with no flag graph found, the facet search
+    decides it."""
+    monkeypatch.setattr(decomposability, "_flag_graph", lambda delta: None)
     rng = random.Random(17)
     cases = [_seven_vertex_graph(), _nine_vertex_graph()]
     cases += [random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.8))
@@ -398,6 +403,89 @@ def test_facet_search_refutation_budget(monkeypatch):
         shedding_vertices(small)
 
 
+def _g7():
+    """Ind of a 7-vertex graph: a 4-cycle beside a path, with h-triangle
+    (1, 5, 0), so only a search refutes it."""
+    edges = ("1-2 1-3 1-4 1-7 2-4 2-5 2-6 3-4 3-5 3-6 3-7 4-7 5-6 5-7 "
+             "6-7").split()
+    return independence_complex(Graph([], [tuple(e.split("-")) for e in edges]))
+
+
+def test_graph_walk_budgets(monkeypatch):
+    """The graph walk refutes Ind(g7) at 27 subcomplexes, which count
+    against VD_REFUTATION_BOUND with the facet search's message.  Its
+    (beta) tests take 139 witness units in all, at most 7 at one node: each
+    node has a memo of its own, so VD_GRAPH_NODE_BOUND bounds one node."""
+    g7 = _g7()
+    lines = is_vertex_decomposable(g7).to_lines()
+    assert lines[0] == "stuck"
+    monkeypatch.setattr(decomposability, "VD_REFUTATION_BOUND", 27)
+    assert is_vertex_decomposable(g7).to_lines() == lines
+    monkeypatch.setattr(decomposability, "VD_REFUTATION_BOUND", 26)
+    with pytest.raises(ResourceLimit, match="^27 refuted subcomplexes exceeds "
+                       "the facet search refutation bound 26$"):
+        is_vertex_decomposable(g7)
+    monkeypatch.undo()
+    monkeypatch.setattr(graph, "VD_GRAPH_NODE_BOUND", 7)
+    assert is_vertex_decomposable(g7).to_lines() == lines
+    monkeypatch.setattr(graph, "VD_GRAPH_NODE_BOUND", 6)
+    with pytest.raises(ResourceLimit, match="^7 graph VD nodes exceeds the "
+                       "graph VD node bound 6$"):
+        is_vertex_decomposable(g7)
+
+
+def _renamed(g, rng):
+    """g with its vertices in a shuffled position order under fresh names,
+    so neither the position order nor the old names fix the string order."""
+    names = dict(zip(g.vertices, (f"r{k}" for k in rng.sample(range(1000), len(g)))))
+    order = list(g.vertices)
+    rng.shuffle(order)
+    return Graph([names[v] for v in order],
+                 [(names[a], names[b]) for a, b in map(tuple, g.edges)])
+
+
+def _walk_cases():
+    """Seeded random graphs of 1-15 vertices, pi/cc/mc/md builds and
+    whiskered cycles C3-C16 with trivial and ear specs, all renamed."""
+    rng = random.Random("graph-walk")
+    graphs = [random_graph(rng, 1 + t % 15, rng.uniform(0.15, 0.6))
+              for t in range(150)]
+    graphs += [random_build(rng, kind, max_base=8, max_total=16).graph
+               for kind in ("pi", "cc", "mc", "md") * 5]
+    for n in range(3, 17):
+        g = cycle_graph([f"v{i}" for i in range(n)])
+        vs = g.vertices
+        for spec in (trivial_spec(g),
+                     default_spec(g, [vs[i:i + 2] for i in range(0, n, 2)])):
+            graphs.append(build_whiskered(g, spec, "pi").graph)
+    return [independence_complex(_renamed(g, rng)) for g in graphs]
+
+
+def test_graph_walk_matches_facet_search(monkeypatch):
+    """The walk on vertex masks gives the facet search's tree on every flag
+    complex, and `is_vertex_decomposable` never reaches the facet search on
+    one: its text is the text that the facet search gives when no flag
+    graph is found."""
+    cases = _walk_cases()
+    verdicts = set()
+    for c in cases:
+        order = decomposability._top_order(c)
+        tree = decomposability._search(c._masks, order, set())
+        assert tree == decomposability._walk(
+            _flag_graph(c), reduce(int.__or__, c._masks), order, set())
+        verdicts.add(tree is not None)
+    assert verdicts == {True, False}
+    with monkeypatch.context() as m:
+        m.setattr(decomposability, "_flag_graph", lambda delta: None)
+        expected = [is_vertex_decomposable(c).to_lines() for c in cases]
+
+    def no_search(*args):
+        raise AssertionError("the facet search ran")
+
+    monkeypatch.setattr(decomposability, "_search", no_search)
+    assert [is_vertex_decomposable(c).to_lines() for c in cases] == expected
+
+
 # -- the h-triangle check ------------------------------------------------------
 
 def _ref_h_triangle(c):
@@ -505,11 +593,16 @@ def test_h_triangle_refutes_before_the_search(monkeypatch):
     h_{3,2} = -3), so they are refuted without a search and list their
     facets as the search would.  A 7-vertex graph whose Ind is a 4-cycle
     beside a path, six edges in all, has h = (1, 5, 0): it is not VD, and
-    only the search can say so."""
+    only a search can say so.  These complexes are flag, so that search is
+    the graph walk; neither it nor the facet search may run on the others."""
     def no_search(*args):
         raise AssertionError("the facet search ran")
 
+    def no_walk(*args):
+        raise AssertionError("the graph walk ran")
+
     monkeypatch.setattr(decomposability, "_search", no_search)
+    monkeypatch.setattr(decomposability, "_walk", no_walk)
     c4 = independence_complex(cycle_graph(["a", "b", "c", "d"]))
     assert dict(decomposability._h_triangle(c4._masks)) == {2: [1, 2, -1]}
     assert is_vertex_decomposable(c4).to_lines() == [
@@ -519,11 +612,9 @@ def test_h_triangle_refutes_before_the_search(monkeypatch):
     assert is_vertex_decomposable(c6_ind).to_lines() == [
         "stuck", "  facet v1 v3 v5", "  facet v1 v4", "  facet v2 v4 v6",
         "  facet v2 v5", "  facet v3 v6"]
-    edges = ("1-2 1-3 1-4 1-7 2-4 2-5 2-6 3-4 3-5 3-6 3-7 4-7 5-6 5-7 "
-             "6-7").split()
-    g7 = independence_complex(Graph([], [tuple(e.split("-")) for e in edges]))
+    g7 = _g7()
     assert dict(decomposability._h_triangle(g7._masks)) == {2: [1, 5, 0]}
-    with pytest.raises(AssertionError, match="the facet search ran"):
+    with pytest.raises(AssertionError, match="the graph walk ran"):
         is_vertex_decomposable(g7)
     monkeypatch.undo()
     assert is_vertex_decomposable(g7).to_lines() == [
@@ -661,10 +752,11 @@ def test_scm_matches_the_padding_sweep():
 
 
 def test_vd_memo_is_released_after_each_call():
-    """The graph engine's memo and the facet search's refuted set live for
-    one top-level call, so a long-lived process keeps none of them once the
-    calls return.  Flag complexes take the engine for shedding lists, and
-    the hollow joins, which are not flag, take the facet search for both."""
+    """The graph engine's memo and the searches' refuted sets live for one
+    top-level call, so a long-lived process keeps none of them once the
+    calls return.  Flag complexes take the graph walk for certificates and
+    the engine for shedding lists, and the hollow joins, which are not
+    flag, take the facet search for both."""
     rng = random.Random(12)
     cases = [independence_complex(random_graph(rng, rng.randint(12, 15), 0.35))
              for _ in range(60)]

@@ -128,6 +128,9 @@ _PARTITION_ERRORS = [
     (EARS_TEXT + "whiskerA W1: size=0 edges=()\n", "line 4: whisker size must be >= 1"),
     (EARS_TEXT + "whiskerA W3: size=2 edges=(1-3)\n",
      "line 4: edge index out of range in '1-3'"),
+    # past int()'s 4,300 digits, and not echoed
+    (EARS_TEXT + "whiskerA W3: size=2 edges=(1-" + "9" * 5000 + ")\n",
+     "line 4: edge index out of range"),
 ]
 
 
@@ -304,13 +307,17 @@ def test_cli_error_codes(files, capsys):
             ("huge.part", EARS_TEXT + "whiskerA W1: size=100000000 edges=()\n"),
             # rejected before int(), which refuses more than 4,300 digits
             ("long.part", EARS_TEXT + "whiskerA W1: size=" + "9" * 5000
-                          + " edges=()\n")):
+                          + " edges=()\n"),
+            # an edge index of 5,000 digits, refused before int() too
+            ("wide.part", EARS_TEXT + "whiskerA W1: size=2 edges=(1-"
+                          + "9" * 5000 + ")\n")):
         (files / name).write_text(text)
         capsys.readouterr()
         code, out = run_cli("build", "--graph", str(files / "c6.graph"),
                             "--partition", str(files / name))
         err = capsys.readouterr().err
         assert (code, out, len(err.splitlines())) == (2, "", 1), name
+        assert len(err) < 100, name  # no 5,000 digits echoed
     # a byte that is not UTF-8, and a star one vertex past the cap, whose
     # certificate would recurse once per leaf
     (files / "latin1.graph").write_bytes(b"edge v1 \xff\n")
