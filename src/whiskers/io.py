@@ -101,21 +101,18 @@ def _parse_whisker(lineno: int, rest: str, prefix: str) -> Graph:
     names = [f"{prefix}.{k + 1}" for k in range(size)]
     edges = []
     spec = m.group(2).strip()
-    if spec:
-        for pair in spec.split(","):
-            ends = [x.strip() for x in pair.split("-")]
-            # an index with more digits than the size is out of range, and
-            # is refused before int(), which stops at 4,300, and not echoed
-            if len(ends) == 2 and any(x.isdecimal() and len(x.lstrip("0")) > len(digits)
-                                      for x in ends):
-                raise ParseError(f"line {lineno}: edge index out of range")
-            try:
-                a, b = (int(x) for x in ends)
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad edge pair {pair!r}") from None
-            if not (1 <= a <= size and 1 <= b <= size):
-                raise ParseError(f"line {lineno}: edge index out of range in {pair!r}")
-            edges.append((names[a - 1], names[b - 1]))
+    for pair in spec.split(",") if spec else ():
+        ends = [x.strip() for x in pair.split("-")]
+        where = f" in {pair!r}" if len(pair) <= 24 else ""  # one short line
+        if len(ends) != 2 or not all(x.isdecimal() for x in ends):
+            raise ParseError(f"line {lineno}: bad edge pair{where}")
+        # an index with more digits than the size is out of range, and is
+        # refused before int(), which stops at 4,300 digits
+        if any(len(x.lstrip("0")) > len(digits) or not 1 <= int(x) <= size
+               for x in ends):
+            raise ParseError(f"line {lineno}: edge index out of range{where}")
+        a, b = map(int, ends)
+        edges.append((names[a - 1], names[b - 1]))
     return Graph(names, edges)
 
 

@@ -16,11 +16,12 @@ import whiskers
 from whiskers import (build_whiskered, cycle_graph, format_complex, format_graph,
                       format_partition, graph_to_dot, parse_complex,
                       parse_graph, parse_partition, trivial_spec)
+from whiskers import cli
 from whiskers.cli import run
 from whiskers.decomposability import VD_REFUTATION_BOUND
 from whiskers.fields import FieldSpec
 from whiskers.graph import MAX_VERTICES, MIS_ENUMERATION_BOUND
-from whiskers.ideals import ORACLE_AMBIENT_CEILING
+from whiskers.ideals import ORACLE_AMBIENT_CEILING, BettiTable
 from whiskers.io import ParseError
 from whiskers.properties import COUNT_BOUND
 from whiskers.randinst import random_complex_facets, random_graph, random_instance
@@ -130,6 +131,15 @@ _PARTITION_ERRORS = [
      "line 4: edge index out of range in '1-3'"),
     # past int()'s 4,300 digits, and not echoed
     (EARS_TEXT + "whiskerA W3: size=2 edges=(1-" + "9" * 5000 + ")\n",
+     "line 4: edge index out of range"),
+    (EARS_TEXT + "whiskerA W3: size=2 edges=(1-2,1-x)\n",
+     "line 4: bad edge pair in '1-x'"),
+    # a pair is echoed only when it is short
+    (EARS_TEXT + "whiskerA W3: size=2 edges=(1-" + "x" * 5000 + ")\n",
+     "line 4: bad edge pair"),
+    (EARS_TEXT + "whiskerA W3: size=2 edges=(1-2-" + "9" * 5000 + ")\n",
+     "line 4: bad edge pair"),
+    (EARS_TEXT + "whiskerA W3: size=2 edges=(1" + " " * 5000 + "-9)\n",
      "line 4: edge index out of range"),
 ]
 
@@ -254,6 +264,25 @@ def test_cli_betti_both(files):
     assert code == 0 and "diff: empty" in text and text.startswith("i\tj\tbeta")
 
 
+def test_cli_betti_both_reports_disagreement(files, monkeypatch):
+    """--method both prints the oracle's table, then every entry where the
+    recursion differs, and exits 1: here one entry changed, one added."""
+    recursive = cli.betti_recursive_cover
+
+    def off(w, k):
+        t = recursive(w, k=k)
+        return BettiTable(t.field, {**t.entries, (1, 8): t.get(1, 8) + 1,
+                                    (4, 12): 1}, t.module)
+
+    monkeypatch.setattr(cli, "betti_recursive_cover", off)
+    argv = ["betti", "--graph", str(files / "l6.graph"),
+            "--partition", str(files / "oddeven.part")]
+    _, oracle = run_cli(*argv, "--method", "oracle")
+    code, text = run_cli(*argv, "--method", "both")
+    assert code == 1
+    assert text == oracle + "diff: methods disagree at (1,8), (4,12)\n"
+
+
 def test_cli_check_vd(files):
     code, text = run_cli("check-vd", "--graph", str(files / "c6.graph"),
                          "--partition", str(files / "ears.part"), "--expect-vd")
@@ -310,7 +339,14 @@ def test_cli_error_codes(files, capsys):
                           + " edges=()\n"),
             # an edge index of 5,000 digits, refused before int() too
             ("wide.part", EARS_TEXT + "whiskerA W1: size=2 edges=(1-"
-                          + "9" * 5000 + ")\n")):
+                          + "9" * 5000 + ")\n"),
+            # bad and out-of-range pairs of 5,000 characters, not echoed
+            ("letters.part", EARS_TEXT + "whiskerA W1: size=2 edges=(1-"
+                             + "x" * 5000 + ")\n"),
+            ("triple.part", EARS_TEXT + "whiskerA W1: size=2 edges=(1-2-"
+                            + "9" * 5000 + ")\n"),
+            ("spaced.part", EARS_TEXT + "whiskerA W1: size=2 edges=(1"
+                            + " " * 5000 + "-9)\n")):
         (files / name).write_text(text)
         capsys.readouterr()
         code, out = run_cli("build", "--graph", str(files / "c6.graph"),
@@ -366,7 +402,7 @@ def test_cli_error_codes(files, capsys):
     assert time.perf_counter() - start < 1
     assert (code, text, capsys.readouterr().err) == (
         3, "", f"resource limit: {VD_REFUTATION_BOUND + 1} refuted subcomplexes "
-               f"exceeds the facet search refutation bound {VD_REFUTATION_BOUND}\n")
+               f"exceeds the VD search refutation bound {VD_REFUTATION_BOUND}\n")
 
 
 def test_cli_betti_rejects_huge_field(files, capsys):

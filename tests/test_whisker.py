@@ -1,12 +1,14 @@
 """Whiskered builds: validation, neighborhoods, figures, decompositions."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from whiskers import (Graph, GraphError, WhiskerError, build_whiskered, cycle_graph,
-                      decompose_delete, decompose_link, default_spec,
-                      derive_kind, edgeless_graph, path_graph, trivial_spec,
+from whiskers import (Graph, GraphError, PartitionSpec, WhiskerError,
+                      build_whiskered, cycle_graph, decompose_delete,
+                      decompose_link, default_spec, derive_kind,
+                      edgeless_graph, path_graph, trivial_spec,
                       validate_partitions)
 from whiskers.graph import MAX_VERTICES
 from whiskers.whisker import KINDS
@@ -235,3 +237,68 @@ def test_random_instance_raises_on_invalid_spec(monkeypatch):
                         lambda g, spec: ["clique W1 is empty", "second"])
     with pytest.raises(WhiskerError, match="clique W1 is empty"):
         random_instance(random.Random(0), "pi")
+
+
+# Two disjoint edges a-b and c-d, and a valid cc spec on them: cliques
+# W1 = {a, b} and W2 = {c, d} in one cluster U1, one vertex per whisker.
+_TWO_EDGES = Graph(list("abcd"), [("a", "b"), ("c", "d")])
+_A1, _A2, _A3 = (edgeless_graph([f"a{i}.1"]) for i in (1, 2, 3))
+_B1, _B2 = (edgeless_graph([f"b{j}.1"]) for j in (1, 2))
+_CC = PartitionSpec((("a", "b"), ("c", "d")), ((0, 1),), (_A1, _A2), (_B1,))
+
+# (changes to _CC, every violation that validate_partitions reports)
+_SPEC_VIOLATIONS = [
+    (dict(cliques=(("a", "b"), ("c", "d"), ()), clusters=((0, 1), (2,)),
+          whisker_a=(_A1, _A2, _A3), whisker_b=(_B1, None)),
+     ["clique W3 is empty"]),
+    (dict(cliques=(("a", "b"), ("c", "d", "x"))),
+     ["clique W2 uses unknown vertex 'x'"]),
+    (dict(cliques=(("a", "b"), ("c", "d"), ("d",)), clusters=((0, 1), (2,)),
+          whisker_a=(_A1, _A2, _A3), whisker_b=(_B1, None)),
+     ["vertex 'd' appears in more than one clique"]),
+    (dict(cliques=(("a", "b", "c"), ("d",)), clusters=((0,), (1,)),
+          whisker_b=(None, None)),
+     ["W1 = {a b c} is not a clique"]),
+    (dict(cliques=(("a", "b"), ("c",))), ["vertices not covered by cliques: d"]),
+    (dict(clusters=((0, 1), ()), whisker_b=(_B1, None)), ["cluster U2 is empty"]),
+    (dict(clusters=((0, 1, 2),)), ["cluster U1 references missing clique 3"]),
+    (dict(clusters=((0, 1), (1,)), whisker_b=(_B1, None)),
+     ["clique W2 appears in more than one cluster"]),
+    (dict(cliques=(("a",), ("b",), ("c", "d")), clusters=((0, 1), (2,)),
+          whisker_a=(_A1, _A2, _A3), whisker_b=(_B1, None)),
+     ["edge a-b connects cliques W1, W2 inside cluster U1"]),
+    (dict(clusters=((0,),), whisker_b=(None,)),
+     ["cliques not covered by clusters: W2"]),
+    (dict(whisker_a=(_A1,)), ["need exactly one whisker graph A_i per clique"]),
+    (dict(whisker_b=(_B1, None)), ["whisker_b must align with the cluster list"]),
+    (dict(whisker_a=(edgeless_graph([]), _A2)), ["whisker graph A1 is empty"]),
+    (dict(whisker_a=(_A1, edgeless_graph(["c", "a2.2"]))),
+     ["whisker vertex 'c' (A2) collides with another vertex"]),
+    (dict(whisker_b=(None,)), ["multi-clique cluster U1 needs a whisker graph B"]),
+    (dict(clusters=((0,), (1,)), whisker_b=(None, _B2)),
+     ["single-clique cluster U2 must not carry a whisker graph B"]),
+]
+
+
+@pytest.mark.parametrize("changes, violations", _SPEC_VIOLATIONS)
+def test_partition_spec_refusals(changes, violations):
+    """Every violation of a hand-built spec is reported, and refused by
+    build_whiskered with all of them on one line; kind md adds none here,
+    since every whisker graph is edgeless."""
+    spec = replace(_CC, **changes)
+    assert validate_partitions(_TWO_EDGES, spec) == violations
+    with pytest.raises(WhiskerError) as exc:
+        build_whiskered(_TWO_EDGES, spec, "md")
+    assert str(exc.value) == "invalid partition spec: " + "; ".join(violations)
+
+
+def test_build_and_decompositions_refuse_bad_arguments():
+    """An unknown kind is refused before the spec is checked, and the
+    decompositions split only at base vertices."""
+    assert validate_partitions(_TWO_EDGES, _CC) == []
+    with pytest.raises(WhiskerError, match="^unknown kind 'xx'$"):
+        build_whiskered(_TWO_EDGES, _CC, "xx")
+    w = build_whiskered(_TWO_EDGES, _CC, "cc")
+    for decompose in (decompose_delete, decompose_link):
+        with pytest.raises(GraphError, match="^'b1.1' is not a base vertex$"):
+            decompose(w, "b1.1")
