@@ -44,11 +44,10 @@ most VD_REFUTATION_BOUND refutations are made before ResourceLimit.
 Both parts of the rule pay for themselves.  A link is smaller than its
 deletion, and a VD subcomplex is searched in full each time it is met, so
 a deletion-first search builds whole trees for deletions of nodes that a
-link refutes at once.  On Ind(G) of 4,000 random graphs of 16-34 vertices
-it made 3.7 times the graph walk's calls, and one graph that the rule
-refutes at 3,149 subcomplexes ran past the bound.  Without the skip, the
-link of a trial vertex whose deletion is refuted is searched in full
-again, which made 2.5 times the calls on the same graphs.
+link refutes at once.  Without the skip, the link of a trial vertex whose
+deletion is refuted is searched in full again.  On random Ind(G) past 16
+vertices either change made more than twice the calls;
+`test_trial_rule_call_counts` pins the counts.
 
 A refutation is the input complex itself.  A failed deletion sends its
 parent on to the next trial vertex and a failed link refutes the parent,
@@ -190,9 +189,8 @@ def _search(facets: Collection[int], order: list[int],
     when its deletion is refuted; otherwise its link is searched first,
     and a link that is not VD refutes this node at once, since every link
     of a VD complex is VD (Provan-Billera 1980; Bjorner-Wachs 1997).  The
-    deletion is searched only then: searched first, a VD deletion's whole
-    tree is built before its link refutes the node.  Raises ResourceLimit
-    past VD_REFUTATION_BOUND refutations.
+    deletion is searched only then (the module docstring says why).
+    Raises ResourceLimit past VD_REFUTATION_BOUND refutations.
     """
     if len(facets) <= 1:
         return ("simplex",)

@@ -86,6 +86,14 @@ def format_complex(c: SimplicialComplex) -> str:
 _EDGES_RE = re.compile(r"size=(\d+)\s+edges=\(([^)]*)\)")
 
 
+def _echo(pair: str) -> str:
+    """`` in '<pair>'`` when ascii() prints the pair in at most 26
+    characters, which are as many bytes, else "": an error stays one short
+    line."""
+    shown = ascii(pair)
+    return f" in {shown}" if len(shown) <= 26 else ""
+
+
 def _parse_whisker(lineno: int, rest: str, prefix: str) -> Graph:
     m = _EDGES_RE.fullmatch(rest.strip())
     if not m:
@@ -103,14 +111,13 @@ def _parse_whisker(lineno: int, rest: str, prefix: str) -> Graph:
     spec = m.group(2).strip()
     for pair in spec.split(",") if spec else ():
         ends = [x.strip() for x in pair.split("-")]
-        where = f" in {pair!r}" if len(pair) <= 24 else ""  # one short line
         if len(ends) != 2 or not all(x.isdecimal() for x in ends):
-            raise ParseError(f"line {lineno}: bad edge pair{where}")
+            raise ParseError(f"line {lineno}: bad edge pair{_echo(pair)}")
         # an index with more digits than the size is out of range, and is
-        # refused before int(), which stops at 4,300 digits
-        if any(len(x.lstrip("0")) > len(digits) or not 1 <= int(x) <= size
-               for x in ends):
-            raise ParseError(f"line {lineno}: edge index out of range{where}")
+        # refused before int(), which stops at 4,300 digits, zeros included
+        ends = [x.lstrip("0") or "0" for x in ends]
+        if any(len(x) > len(digits) or not 1 <= int(x) <= size for x in ends):
+            raise ParseError(f"line {lineno}: edge index out of range{_echo(pair)}")
         a, b = map(int, ends)
         edges.append((names[a - 1], names[b - 1]))
     return Graph(names, edges)

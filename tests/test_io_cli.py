@@ -141,6 +141,15 @@ _PARTITION_ERRORS = [
      "line 4: bad edge pair"),
     (EARS_TEXT + "whiskerA W3: size=2 edges=(1" + " " * 5000 + "-9)\n",
      "line 4: edge index out of range"),
+    # int() counts leading zeros toward its 4,300 digits
+    (EARS_TEXT + "whiskerA W3: size=2 edges=(1-" + "0" * 5000 + "3)\n",
+     "line 4: edge index out of range"),
+    # echoed only when short as ascii() prints it: this pair of 24
+    # characters prints as 92
+    (EARS_TEXT + "whiskerA W3: size=2 edges=(1-" + "\x01" * 22 + ")\n",
+     "line 4: bad edge pair"),
+    (EARS_TEXT + "whiskerA W3: size=2 edges=(1-\x01)\n",
+     "line 4: bad edge pair in '1-\\x01'"),
 ]
 
 
@@ -157,6 +166,10 @@ def test_partition_parse_errors_and_name_collision():
     assert spec.clusters == ((1, 2), (0,))
     assert spec.whisker_b[0].vertices == ("b1.1", "b1.2")
     assert spec.whisker_b[1] is None
+    # a zero-padded index reads as its value
+    spec = parse_partition(EARS_TEXT + "whiskerA W1: size=2 edges=(1-"
+                           + "0" * 5000 + "2)\n", g)
+    assert spec.whisker_a[0].has_edge("a1.1", "a1.2")
 
 
 def test_dot_export():
@@ -346,7 +359,13 @@ def test_cli_error_codes(files, capsys):
             ("triple.part", EARS_TEXT + "whiskerA W1: size=2 edges=(1-2-"
                             + "9" * 5000 + ")\n"),
             ("spaced.part", EARS_TEXT + "whiskerA W1: size=2 edges=(1"
-                            + " " * 5000 + "-9)\n")):
+                            + " " * 5000 + "-9)\n"),
+            # 5,000 leading zeros, which int() counts too
+            ("zeros.part", EARS_TEXT + "whiskerA W1: size=2 edges=(1-"
+                           + "0" * 5000 + "3)\n"),
+            # a pair of 24 characters that ascii() prints as 92
+            ("control.part", EARS_TEXT + "whiskerA W1: size=2 edges=(1-"
+                             + "\x01" * 22 + ")\n")):
         (files / name).write_text(text)
         capsys.readouterr()
         code, out = run_cli("build", "--graph", str(files / "c6.graph"),
