@@ -2,8 +2,9 @@
 unmixedness, and the componentwise-linear-dual criterion.
 
 The graph engine of `graph` answers `is_vd_graph`, re-exported here, and
-`shedding_vertices` on a flag complex Ind(H): only `_flag_graph` reads its
-facets, and the engine decides (beta), the deletion and the link on H.
+`shedding_vertices` on a flag complex Ind(H), whose facets only
+`_flag_graph` reads.  In strong mode both routes of `shedding_vertices`
+decide the complex once, then only each deletion where (beta) holds.
 
 Certificates come from two searches that find the same trees.  A
 certificate names shed vertices that its replay re-splits facet by facet,
@@ -11,8 +12,8 @@ and its text depends on the trial order, so both follow one label order
 and `check-vd` output does not change with the route.  On a flag complex
 Ind(H), `is_vertex_decomposable` runs the graph walk `_walk`, which keeps
 each subcomplex Ind(H[u]) as its vertex mask u and asks `graph._witness`
-for (beta).  Every other complex goes to the facet search `_search`, which
-also gives `shedding_vertices` its verdicts on a complex that is not flag.
+for (beta).  Every other complex, and in `shedding_vertices` its
+deletions, goes to the facet search `_search`.
 The facet search starts from the complex's own ``_masks`` and keeps every
 subcomplex as int bitmasks over those position bits, never renumbered.
 Both have one mode: they follow the label order and return a certificate
@@ -427,43 +428,40 @@ def shedding_vertices(delta: SimplicialComplex, weak: bool = False) -> list[str]
     """Vertices satisfying conditions (alpha) and (beta); weak mode tests
     (beta) only.
 
-    A flag complex is Ind(H) of a graph H, and the graph engine decides
-    (beta) with `_witness`, which also covers a neighbour y of x with N[y]
-    inside N[x] (Woodroofe 2009, Lemma 6), and the deletions and links with
-    `_vd`.  In strong mode the engine decides the whole complex first.
-    When it is not VD no vertex sheds, since a shedding vertex with a VD
-    deletion and link would make it VD.  When it is, so is every link
-    (Provan-Billera 1980), and only the deletions are decided.  Any other
-    complex asks the facet search whether each deletion and link has a
-    certificate, with one refuted set for all its vertices.
+    Both routes decide the whole complex first in strong mode.  When it is
+    not VD no vertex sheds, since a shedding vertex with a VD deletion and
+    link would make it VD.  When it is, so is every link (Provan-Billera
+    1980), and only the deletion at each vertex where (beta) holds is
+    decided.  A flag complex is Ind(H) of a graph H: the graph engine
+    decides (beta) with `_witness`, which also covers a neighbour y of x
+    with N[y] inside N[x] (Woodroofe 2009, Lemma 6), and the rest with
+    `_vd`.  Any other complex goes to the facet search, with one refuted
+    set for the complex and its deletions.
     """
     if delta.is_void:
         raise ComplexError("void complex has no shedding vertices")
+    order = _top_order(delta)
     adj = _flag_graph(delta)
-    out = []
+    shed = []
     if adj is None:
-        order = _top_order(delta)
         refuted: set[frozenset[int]] = set()
-        for x in order:
-            split = _split_masks(delta._masks, x)
-            if split is None:
-                continue
-            if weak or (_search(split[0], order, refuted) is not None
-                        and _search(split[1], order, refuted) is not None):
-                out.append(delta.ambient[x.bit_length() - 1])
-        return out
-    support = reduce(int.__or__, delta._masks)
-    engine = _Memo()
-    if not weak and not _vd(adj, support, engine):
-        return out
-    for x in _top_order(delta):
-        i = x.bit_length() - 1
-        link = support & ~(adj[i] | x)
-        if _witness(adj, link, adj[i], engine):
-            continue
-        if weak or _vd(adj, support ^ x, engine):
-            out.append(delta.ambient[i])
-    return out
+        if weak or _search(delta._masks, order, refuted) is not None:
+            for x in order:
+                split = _split_masks(delta._masks, x)
+                if split is not None and (
+                        weak or _search(split[0], order, refuted) is not None):
+                    shed.append(x)
+    else:
+        support = reduce(int.__or__, delta._masks)
+        engine = _Memo()
+        if weak or _vd(adj, support, engine):
+            for x in order:
+                i = x.bit_length() - 1
+                link = support & ~(adj[i] | x)
+                if not _witness(adj, link, adj[i], engine) and (
+                        weak or _vd(adj, support ^ x, engine)):
+                    shed.append(x)
+    return [delta.ambient[x.bit_length() - 1] for x in shed]
 
 
 def is_shellable(delta: SimplicialComplex) -> list[tuple[str, ...]] | None:

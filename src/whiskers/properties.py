@@ -296,8 +296,8 @@ def check_froeberg(rng: random.Random, count: int) -> list[str]:
     bad = []
     for t in range(count):
         g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.8))
-        if not g.edges:
-            continue
+        while not g.edges:
+            g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.8))
         linear = has_linear_resolution(ideal_of(g, "edge"), GF2)
         if linear != g.complement().is_chordal()[0]:
             bad.append(f"instance {t}: linear resolution != chordal complement")

@@ -663,6 +663,22 @@ def test_froeberg_criterion():
             == all(j == i + e for (i, j) in table.entries), ideal.generators
 
 
+def test_linear_resolution_early_exits(monkeypatch):
+    """The zero and the unit ideal are linear, and generators of two
+    degrees are not, before any term is walked.  The oracle agrees on the
+    mixed ideal: (0,2), (0,3) and (1,4) lie on no single strand."""
+    mixed = MonomialIdeal("abcd", [("a", "b"), ("b", "c", "d")])
+    assert betti_oracle(mixed, GF2).entries == {(0, 2): 1, (0, 3): 1, (1, 4): 1}
+
+    def no_walk(*args):
+        raise AssertionError("walked the Betti terms")
+
+    monkeypatch.setattr("whiskers.ideals._betti_terms", no_walk)
+    assert has_linear_resolution(MonomialIdeal("ab", []), GF2)
+    assert has_linear_resolution(MonomialIdeal("ab", [()]), GF2)
+    assert not has_linear_resolution(mixed, GF2)
+
+
 def test_strand_prune_matches_the_oracle():
     """``has_linear_resolution`` leaves out every W of at most e + 1
     vertices.  On seeded ideals of one degree e = 1-4 over three fields,

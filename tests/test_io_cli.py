@@ -16,7 +16,7 @@ import whiskers
 from whiskers import (build_whiskered, cycle_graph, format_complex, format_graph,
                       format_partition, graph_to_dot, parse_complex,
                       parse_graph, parse_partition, trivial_spec)
-from whiskers import cli
+from whiskers import cli, properties
 from whiskers.cli import run
 from whiskers.decomposability import VD_REFUTATION_BOUND
 from whiskers.fields import FieldSpec
@@ -127,6 +127,7 @@ _PARTITION_ERRORS = [
     (EARS_TEXT + "whiskerB W1: size=1 edges=()\n",
      "line 4: whiskerB for unknown or single-clique cluster W1"),
     (EARS_TEXT + "whiskerA W1: size=0 edges=()\n", "line 4: whisker size must be >= 1"),
+    (EARS_TEXT + "whiskerA W1: size=2\n", "line 4: expected 'size=<n> edges=(...)'"),
     (EARS_TEXT + "whiskerA W3: size=2 edges=(1-3)\n",
      "line 4: edge index out of range in '1-3'"),
     # past int()'s 4,300 digits, and not echoed
@@ -319,6 +320,34 @@ def test_cli_properties_deterministic(files):
     assert text1.count("PASS") == 16
 
 
+def test_froeberg_suite_checks_graphs_with_edges(monkeypatch):
+    """The suite draws again until a graph has an edge, so each instance
+    tests one ideal.  Under `properties --seed 3` the first two draws have
+    no edge, and skipping them tested none."""
+    calls = [0]
+    linear = properties.has_linear_resolution
+
+    def counted(*args):
+        calls[0] += 1
+        return linear(*args)
+
+    monkeypatch.setattr(properties, "has_linear_resolution", counted)
+    assert properties.check_froeberg(random.Random("3:froeberg"), 2) == []
+    assert calls[0] == 2
+
+
+def test_cli_properties_reports_a_failing_suite(monkeypatch):
+    """A failing suite prints FAIL with its detail lines indented, the
+    count of suites passed, and exits 1."""
+    monkeypatch.setitem(properties.CHECKS, "froeberg",
+                        lambda rng, count: ["instance 0: injected"])
+    code, text = run_cli("properties", "--seed", "3", "--count", "2")
+    lines = [f"FAIL {name}\n  instance 0: injected\n" if name == "froeberg"
+             else f"PASS {name}\n" for name in properties.CHECKS]
+    assert code == 1
+    assert text == "".join(lines) + "15/16 suites passed\n"
+
+
 def test_cli_error_codes(files, capsys):
     code, _ = run_cli("facets", "--graph", "missing.graph",
                       "--partition", str(files / "ears.part"))
@@ -336,7 +365,11 @@ def test_cli_error_codes(files, capsys):
     (files / "empty.cx").write_text("")
     code, _ = run_cli("check-vd", "--complex", str(files / "empty.cx"))
     assert code == 2
-    for field in ("4", "x"):
+    capsys.readouterr()
+    code, text = run_cli("check-vd")
+    assert (code, text, capsys.readouterr().err) == (
+        2, "", "error: check-vd needs --complex or --graph [--partition]\n")
+    for field in ("4", "x", "1"):
         code, _ = run_cli("betti", "--graph", str(files / "l6.graph"),
                           "--field", field)
         assert code == 2
@@ -347,6 +380,7 @@ def test_cli_error_codes(files, capsys):
                                            "whiskerB U1: size=2 edges=()\n"),
             # rejected before any of the 10^8 whisker names is built
             ("huge.part", EARS_TEXT + "whiskerA W1: size=100000000 edges=()\n"),
+            ("no-edges.part", EARS_TEXT + "whiskerA W1: size=2\n"),
             # rejected before int(), which refuses more than 4,300 digits
             ("long.part", EARS_TEXT + "whiskerA W1: size=" + "9" * 5000
                           + " edges=()\n"),
@@ -439,6 +473,17 @@ def test_cli_betti_rejects_huge_field(files, capsys):
     assert [line for line in err.splitlines() if "error" in line] == [
         "whiskers betti: error: argument --field: invalid parse value: "
         "'2305843009213693951'"]
+
+
+def test_field_spec_parse():
+    """A prime field is its characteristic, with an optional F in either
+    case; 1 is no prime."""
+    assert FieldSpec.parse("F5") == FieldSpec(5)
+    assert FieldSpec.parse("f3") == FieldSpec(3)
+    for text in ("1", "F1"):
+        with pytest.raises(ValueError, match="^characteristic must be prime, "
+                           "got 1$"):
+            FieldSpec.parse(text)
 
 
 def test_cli_usage_errors_are_one_line(files, capsys):
