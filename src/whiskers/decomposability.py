@@ -524,10 +524,15 @@ def is_scm_via_dual(delta: SimplicialComplex, k: FieldSpec = GF2) -> bool:
     """Sequential Cohen-Macaulayness via the componentwise-linear dual test
     (Eagon-Reiner 1998, Duval 1996): for each generator degree e of the
     dual's facet ideal, generated by the facets' complements, the degree-e
-    component must have a linear resolution by the Betti oracle.  An e-set
-    S holds some V - F exactly when V - S lies in the facet F, so the
-    component is the complements of the (n - e)-faces, a filter of
-    ``_face_masks``, the one face enumeration.
+    component must have a linear resolution (``has_linear_resolution``).
+    An e-set S holds some V - F exactly when V - S lies in the facet F, so
+    the component is the complements of the (n - e)-faces, a filter of
+    ``_face_masks``, the one face enumeration.  That is the ideal of the
+    Alexander dual of the pure skeleton on the (n - e)-faces.  Every pure
+    skeleton of a VD complex is shellable, so the component has linear
+    quotients (Herzog-Hibi-Zheng 2004) and the greedy certificate answers
+    it without the Betti oracle; the oracle decides each component that
+    the certificate does not place, and so every False.
     """
     if delta.is_void:
         raise ComplexError("void complex: SCM test undefined")

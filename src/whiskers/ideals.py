@@ -419,14 +419,41 @@ def betti_closed_pi(g: Graph, spec, i: int, k: FieldSpec = GF2) -> ClosedFormBet
     return ClosedFormBetti(i, oracle, formula)
 
 
-def has_linear_resolution(ideal: MonomialIdeal, k: FieldSpec = GF2) -> bool:
-    """All generators in one degree e and beta_{i,j} = 0 unless j = i + e."""
-    if ideal.is_zero or ideal.is_unit:
-        return True
-    degrees = {m.bit_count() for m in ideal._masks}
-    if len(degrees) > 1:
-        return False
-    e = degrees.pop()
+def _linear_quotients(gens: tuple[int, ...], budget: int) -> bool:
+    """True when a greedy order of the generators has linear quotients.
+
+    The order grows a prefix P by the first generator g left whose colon
+    P : g is generated by variables.  Over squarefree masks P : g is
+    generated by the differences p - g, so every difference of more than
+    one vertex must meet one of a single vertex.  Each difference counts
+    against ``budget``; False means the order was not found in it, or at
+    all, and says nothing about the ideal.
+    """
+    placed, rest = [gens[0]], list(gens[1:])
+    while rest:
+        for at, g in enumerate(rest):
+            budget -= len(placed)
+            if budget < 0:
+                return False
+            singles, wide = 0, []
+            for p in placed:
+                d = p & ~g
+                if d & (d - 1):
+                    wide.append(d)
+                else:
+                    singles |= d
+            if all(d & singles for d in wide):
+                placed.append(rest.pop(at))
+                break
+        else:
+            return False
+    return True
+
+
+def _hochster_linear(ideal: MonomialIdeal, k: FieldSpec) -> bool:
+    """The oracle's verdict on a proper nonzero ideal of one degree e: no
+    term of Hochster's sum off the strand j = i + e."""
+    e = ideal._masks[0].bit_count()
     # A W of at most e + 1 vertices gives terms on the strand only, so those
     # W are skipped.  Below e vertices the restriction is a simplex, and at e
     # it is a simplex or the boundary of W.  At e + 1 it holds every
@@ -435,3 +462,24 @@ def has_linear_resolution(ideal: MonomialIdeal, k: FieldSpec = GF2) -> bool:
     # The walk stops at the first term off the strand.
     return all(j == i + e for i, j, _ in
                _betti_terms(ideal, k, DEFAULT_ORACLE_AMBIENT_BOUND, e + 1))
+
+
+def has_linear_resolution(ideal: MonomialIdeal, k: FieldSpec = GF2) -> bool:
+    """All generators in one degree e and beta_{i,j} = 0 unless j = i + e.
+
+    An order of the generators with linear quotients certifies a linear
+    resolution over every field (Herzog-Takayama 2002), so a greedy search
+    for one (``_linear_quotients``) comes first, within n * 2^n
+    differences for n variables, about the work of the oracle's subset
+    tables.  Every other ideal, and every False, goes to the Hochster
+    oracle over k; so does an ideal past DEFAULT_ORACLE_AMBIENT_BOUND
+    variables, which the oracle refuses with ResourceLimit.
+    """
+    if ideal.is_zero or ideal.is_unit:
+        return True
+    if len({m.bit_count() for m in ideal._masks}) > 1:
+        return False
+    n = len(ideal.ambient)
+    if n <= DEFAULT_ORACLE_AMBIENT_BOUND and _linear_quotients(ideal._masks, n << n):
+        return True
+    return _hochster_linear(ideal, k)

@@ -19,7 +19,8 @@ from .decomposability import (is_unmixed, is_vd_graph, is_vertex_decomposable,
                               shedding_vertices)
 from .fields import GF2, QQ
 from .graph import Graph
-from .ideals import betti_oracle, betti_recursive_cover, has_linear_resolution, ideal_of
+from .ideals import (_hochster_linear, betti_oracle, betti_recursive_cover,
+                     has_linear_resolution, ideal_of)
 from .poset import FacetPoset, count_facets_pi
 from .randinst import (random_build, random_complex_facets, random_graph,
                        random_instance)
@@ -298,9 +299,13 @@ def check_froeberg(rng: random.Random, count: int) -> list[str]:
         g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.8))
         while not g.edges:
             g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.8))
-        linear = has_linear_resolution(ideal_of(g, "edge"), GF2)
+        ideal = ideal_of(g, "edge")
+        linear = has_linear_resolution(ideal, GF2)
         if linear != g.complement().is_chordal()[0]:
             bad.append(f"instance {t}: linear resolution != chordal complement")
+        # every False is the oracle's own verdict; a True may be the pass's
+        if linear and not _hochster_linear(ideal, GF2):
+            bad.append(f"instance {t}: linear quotients != Hochster oracle")
     return bad
 
 

@@ -17,12 +17,15 @@ import pytest
 from whiskers import (Graph, SimplicialComplex, betti_closed_pi, betti_join,
                       betti_oracle, betti_recursive_cover, build_whiskered,
                       cycle_graph, default_spec, has_linear_resolution,
-                      ideal_of, independence_complex, path_graph, trivial_spec)
+                      ideal_of, independence_complex, is_scm_via_dual,
+                      path_graph, trivial_spec)
 from whiskers.fields import GF2, QQ, FieldSpec, rank_modp, rank_rational
 from whiskers.ideals import (HOM_CACHE_BOUND, ORACLE_AMBIENT_CEILING,
                              RECURSION_NODE_BOUND, BettiTable, IdealError,
                              MonomialIdeal, ResourceLimit, _betti_terms,
-                             _hom_cache, _subset_masks, _subset_tables)
+                             _hochster_linear, _hom_cache, _linear_quotients,
+                             _subset_masks, _subset_tables)
+from whiskers.graph import _by_position
 from whiskers.randinst import random_build, random_graph
 from whiskers.whisker import WhiskeredGraph
 
@@ -702,6 +705,123 @@ def test_strand_prune_matches_the_oracle():
         assert has_linear_resolution(ideal, field) == verdict
         linear += verdict
     assert 10 < linear < 80
+
+
+def _build_components(rng, count):
+    """The degree components that ``is_scm_via_dual`` tests on Ind of
+    ``count`` seeded pi/cc/mc/md builds of 8-11 vertices: per facet size s
+    below n, the complements of the s-faces."""
+    out = []
+    for t in range(count):
+        kind, n = ("pi", "cc", "mc", "md")[t % 4], 8 + t % 4
+        w = random_build(rng, kind, 8, n)
+        while len(w.graph.vertices) != n:
+            w = random_build(rng, kind, 8, n)
+        ind = independence_complex(w.graph)
+        full, faces = (1 << n) - 1, ind._face_masks()
+        out += [MonomialIdeal._from_masks(ind.ambient, _by_position(
+                    full ^ f for f in faces if f.bit_count() == s))
+                for s in {m.bit_count() for m in ind._masks} if s < n]
+    return out
+
+
+def test_linear_quotients_match_the_oracle():
+    """An order with linear quotients certifies a linear resolution over
+    every field: whenever the greedy pass accepts, the oracle's table lies
+    on the strand over F2, F3 and QQ, and ``has_linear_resolution`` is the
+    oracle's verdict over all three.  Inputs: seeded ideals of one degree
+    e = 1-4 (about a third not linear), the edge ideals of the seeded
+    graphs, and the SCM components of 40 seeded builds, which the pass
+    places in full (builds are VD, so every component is shellable)."""
+    rng = random.Random("linear-quotients")
+    drawn = []
+    for t in range(160):
+        e = 1 + t % 4
+        amb = [f"x{i}" for i in range(rng.randint(e + 1, 9))]
+        drawn.append(MonomialIdeal(amb, [rng.sample(amb, e)
+                                         for _ in range(rng.randint(2, 7))]))
+    edges = [ideal_of(g, "edge") for g in seeded_graphs() if g.edges]
+    builds = _build_components(rng, 40)
+    fields = (GF2, FieldSpec(3), QQ)
+    placed, not_linear = [], []
+    for family in (drawn, edges, builds):
+        placed.append(0)
+        not_linear.append(0)
+        for ideal in family:
+            n, e = len(ideal.ambient), ideal._masks[0].bit_count()
+            accepted = _linear_quotients(ideal._masks, n << n)
+            for k in fields:
+                truth = _hochster_linear(ideal, k)
+                assert has_linear_resolution(ideal, k) == truth, \
+                    (ideal.generator_tuples(), k)
+                if accepted:
+                    assert all(j == i + e for i, j in betti_oracle(ideal, k).entries), \
+                        (ideal.generator_tuples(), k)
+            placed[-1] += accepted
+            not_linear[-1] += not truth  # over QQ, the last field
+    assert [len(drawn), len(edges), len(builds)] == [160, 41, 77]
+    assert not_linear == [57, 28, 0]
+    assert placed == [103, 13, 77]
+
+
+def test_linear_resolution_refuses_past_the_oracle_bound():
+    """Past DEFAULT_ORACLE_AMBIENT_BOUND variables the greedy pass does not
+    run: the oracle's refusal is the answer, though one edge is linear."""
+    one_edge = MonomialIdeal([f"x{i}" for i in range(17)], [("x0", "x1")])
+    with pytest.raises(ResourceLimit) as raised:
+        has_linear_resolution(one_edge, GF2)
+    assert str(raised.value) == "ambient size 17 exceeds the oracle bound 16"
+
+
+def test_linear_quotients_budget_falls_back_to_the_oracle(monkeypatch):
+    """The squarefree Veronese ideal of degree 4 in 10 variables has linear
+    quotients in lex order, but the greedy pass needs 21,945 differences,
+    past 10 * 2^10: the oracle answers it.  The edge ideal of a graph with
+    chordal complement is placed, and no Betti term is walked."""
+    amb = [f"x{i}" for i in range(10)]
+    veronese = MonomialIdeal(amb, list(combinations(amb, 4)))
+    assert len(veronese._masks) == 210
+    assert not _linear_quotients(veronese._masks, 10 << 10)
+    assert not _linear_quotients(veronese._masks, 21_944)
+    assert _linear_quotients(veronese._masks, 21_945)
+    walks = []
+    terms = _betti_terms
+
+    def counted(*args):
+        walks.append(args[0])
+        return terms(*args)
+
+    monkeypatch.setattr("whiskers.ideals._betti_terms", counted)
+    assert has_linear_resolution(veronese, GF2)
+    assert walks == [veronese]
+
+    def no_walk(*args):
+        raise AssertionError("walked the Betti terms")
+
+    monkeypatch.setattr("whiskers.ideals._betti_terms", no_walk)
+    g = path_graph([f"v{i}" for i in range(1, 8)]).complement()
+    assert g.complement().is_chordal()[0]
+    assert has_linear_resolution(ideal_of(g, "edge"), GF2)
+
+
+def test_scm_of_rp2_comes_from_the_oracle(monkeypatch):
+    """The 6-vertex RP^2 is Cohen-Macaulay over QQ and F3 but not over F2,
+    so no order of its dual's generators has linear quotients, which would
+    hold over every field: its one component goes to the oracle over each
+    field, and the oracle decides."""
+    rp2 = SimplicialComplex("123456", [
+        "123", "134", "145", "156", "126", "235", "245", "246", "346", "356"])
+    walks = []
+    terms = _betti_terms
+
+    def counted(*args):
+        walks.append(args[1])
+        return terms(*args)
+
+    monkeypatch.setattr("whiskers.ideals._betti_terms", counted)
+    for k, verdict in ((GF2, False), (QQ, True), (FieldSpec(3), True)):
+        assert is_scm_via_dual(rp2, k) == verdict, k
+    assert walks == [GF2, QQ, FieldSpec(3)]
 
 
 def test_oracle_resource_limit():

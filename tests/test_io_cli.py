@@ -336,6 +336,17 @@ def test_froeberg_suite_checks_graphs_with_edges(monkeypatch):
     assert calls[0] == 2
 
 
+def test_froeberg_suite_checks_the_pass_against_the_oracle(monkeypatch):
+    """A linear-quotients pass that accepts every ideal is caught twice on
+    the one instance of six whose edge ideal is not linear: by the
+    chordal complement and by the Hochster oracle."""
+    monkeypatch.setattr("whiskers.ideals._linear_quotients",
+                        lambda gens, budget: True)
+    assert properties.check_froeberg(random.Random("froeberg-pass"), 6) == [
+        "instance 1: linear resolution != chordal complement",
+        "instance 1: linear quotients != Hochster oracle"]
+
+
 def test_cli_properties_reports_a_failing_suite(monkeypatch):
     """A failing suite prints FAIL with its detail lines indented, the
     count of suites passed, and exits 1."""
