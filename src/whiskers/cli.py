@@ -109,14 +109,15 @@ def cmd_poset(args, out) -> int:
 def cmd_betti(args, out) -> int:
     if args.oracle_bound < 0:
         raise ParseError(f"--oracle-bound {args.oracle_bound} is below 0")
+    if args.method != "oracle" and (not args.partition or args.ideal != "cover"):
+        raise IdealError(f"--method {args.method} needs --partition and the "
+                         "cover ideal")
     target, w = _load(args)
     tables = {}
     if args.method in ("oracle", "both"):
         tables["oracle"] = betti_oracle(ideal_of(target, args.ideal), args.field,
                                         ambient_bound=args.oracle_bound)
     if args.method in ("recursive", "both"):
-        if w is None or args.ideal != "cover":
-            raise IdealError("--method recursive needs --partition and the cover ideal")
         tables["recursive"] = betti_recursive_cover(w, k=args.field)
     shown = tables.get("oracle", next(iter(tables.values())))
     if args.quotient:

@@ -4,7 +4,8 @@ unmixedness, and the componentwise-linear-dual criterion.
 The graph engine of `graph` answers `is_vd_graph`, re-exported here, and
 `shedding_vertices` on a flag complex Ind(H), whose facets only
 `_flag_graph` reads.  In strong mode both routes of `shedding_vertices`
-decide the complex once, then only each deletion where (beta) holds.
+decide the complex once, at the first vertex where (beta) holds, then only
+each deletion where (beta) holds.
 
 Certificates come from two searches that find the same trees.  A
 certificate names shed vertices that its replay re-splits facet by facet,
@@ -85,9 +86,6 @@ from .ideals import MonomialIdeal, has_linear_resolution
 # 11 edges beside a disjoint edge visits 2^11 and fails in 0.07-0.12 s (CPU,
 # 2-vCPU Xeon, Python 3.11); each facet fewer took 2.3-2.6 times less.
 DEFAULT_SHELLING_FACET_BOUND = 12
-# Vertices of an SCM test, so at most 2^14 faces: the 6-skeleton of the
-# 13-simplex (3,432 facets) took 0.46 s and 19 MB peak on the same machine.
-DEFAULT_SCM_AMBIENT_BOUND = 14
 # Subcomplexes one search, the facet search or the graph walk, may refute.
 # Both refute the same subcomplexes.  A certificate on F facets has F - 1
 # shed nodes, which the input bounds, so only refutations are counted.
@@ -428,39 +426,54 @@ def shedding_vertices(delta: SimplicialComplex, weak: bool = False) -> list[str]
     """Vertices satisfying conditions (alpha) and (beta); weak mode tests
     (beta) only.
 
-    Both routes decide the whole complex first in strong mode.  When it is
-    not VD no vertex sheds, since a shedding vertex with a VD deletion and
-    link would make it VD.  When it is, so is every link (Provan-Billera
-    1980), and only the deletion at each vertex where (beta) holds is
-    decided.  A flag complex is Ind(H) of a graph H: the graph engine
-    decides (beta) with `_witness`, which also covers a neighbour y of x
-    with N[y] inside N[x] (Woodroofe 2009, Lemma 6), and the rest with
-    `_vd`.  Any other complex goes to the facet search, with one refuted
-    set for the complex and its deletions.
+    In strong mode both routes decide the whole complex once, at the first
+    vertex where (beta) holds, so a complex where none does is never
+    searched.  When it is not VD no vertex sheds, since a shedding vertex
+    with a VD deletion and link would make it VD.  When it is, so is every
+    link (Provan-Billera 1980), and only the deletion at each vertex where
+    (beta) holds is decided.  A flag complex is Ind(H) of a graph H: the
+    graph engine decides (beta) with `_witness`, which also covers a
+    neighbour y of x with N[y] inside N[x] (Woodroofe 2009, Lemma 6), and
+    the rest with `_vd`.  Any other complex goes to the facet search, with
+    one refuted set for the complex and its deletions.
     """
     if delta.is_void:
         raise ComplexError("void complex has no shedding vertices")
     order = _top_order(delta)
     adj = _flag_graph(delta)
-    shed = []
     if adj is None:
+        whole = delta._masks
         refuted: set[frozenset[int]] = set()
-        if weak or _search(delta._masks, order, refuted) is not None:
+
+        def vd(facets) -> bool:
+            return _search(facets, order, refuted) is not None
+
+        def beta() -> Iterator[tuple[int, list[int]]]:
             for x in order:
-                split = _split_masks(delta._masks, x)
-                if split is not None and (
-                        weak or _search(split[0], order, refuted) is not None):
-                    shed.append(x)
+                split = _split_masks(whole, x)
+                if split is not None:
+                    yield x, split[0]
     else:
-        support = reduce(int.__or__, delta._masks)
+        whole = reduce(int.__or__, delta._masks)
         engine = _Memo()
-        if weak or _vd(adj, support, engine):
+
+        def vd(u) -> bool:
+            return _vd(adj, u, engine)
+
+        def beta() -> Iterator[tuple[int, int]]:
             for x in order:
-                i = x.bit_length() - 1
-                link = support & ~(adj[i] | x)
-                if not _witness(adj, link, adj[i], engine) and (
-                        weak or _vd(adj, support ^ x, engine)):
-                    shed.append(x)
+                near = adj[x.bit_length() - 1]
+                if not _witness(adj, whole & ~(near | x), near, engine):
+                    yield x, whole ^ x
+    shed = []
+    decided = weak
+    for x, deletion in beta():
+        if not decided:
+            if not vd(whole):
+                break
+            decided = True
+        if weak or vd(deletion):
+            shed.append(x)
     return [delta.ambient[x.bit_length() - 1] for x in shed]
 
 
@@ -533,13 +546,16 @@ def is_scm_via_dual(delta: SimplicialComplex, k: FieldSpec = GF2) -> bool:
     quotients (Herzog-Hibi-Zheng 2004) and the greedy certificate answers
     it without the Betti oracle; the oracle decides each component that
     the certificate does not place, and so every False.
+
+    A simplex of any size is SCM.  Every other complex is bounded where
+    the work runs: the face set by FACE_ENUMERATION_BOUND, and each
+    component by the oracle's DEFAULT_ORACLE_AMBIENT_BOUND (16), past
+    which ``has_linear_resolution`` raises ResourceLimit.  So every
+    complex on at most 16 vertices is answered, and none past it.
     """
     if delta.is_void:
         raise ComplexError("void complex: SCM test undefined")
     n = len(delta.ambient)
-    if n > DEFAULT_SCM_AMBIENT_BOUND:
-        raise ResourceLimit(f"ambient size {n} exceeds the SCM "
-                            f"bound {DEFAULT_SCM_AMBIENT_BOUND}")
     sizes = {m.bit_count() for m in delta._masks}
     if n in sizes:  # a simplex: the dual ideal is the unit ideal
         return True

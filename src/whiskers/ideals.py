@@ -170,9 +170,9 @@ def betti_join(t1: BettiTable, t2: BettiTable) -> BettiTable:
 
 # -- the homology oracle -------------------------------------------------------
 
-# Homology by face list and field.  A pass of the scm benchmark workload
-# fills 2-3k entries; a cache that reaches the bound is cleared and starts
-# over.
+# Homology by face list and field.  Pass 0 of each of seeds 0-5 fills
+# 228-622 entries on the benchmark's scm workload and 557-609 on betti; a
+# cache that reaches the bound is cleared and starts over.
 HOM_CACHE_BOUND = 1 << 16
 _hom_cache: dict[tuple, dict[int, int]] = {}
 
@@ -409,8 +409,6 @@ def betti_closed_pi(g: Graph, spec, i: int, k: FieldSpec = GF2) -> ClosedFormBet
     (n = base vertex count) alongside the oracle; the oracle adjudicates."""
     wg = build_whiskered(g, spec, "pi")
     ind = independence_complex(g)
-    if ind.is_void:
-        raise IdealError("empty base graph has no independence complex f-vector")
     f = ind.f_vector()
     d = ind.dim
     formula = sum(comb(j, i) * f[j] for j in range(1, d + 2))

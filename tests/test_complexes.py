@@ -18,7 +18,7 @@ from whiskers.complexes import FACE_ENUMERATION_BOUND
 from whiskers.decomposability import is_scm_via_dual, is_vertex_decomposable
 from whiskers.fields import GF2, QQ, FieldSpec
 from whiskers.graph import MAX_VERTICES, _by_position
-from whiskers.ideals import MonomialIdeal, ideal_of
+from whiskers.ideals import IdealError, MonomialIdeal, ideal_of
 from whiskers.randinst import random_complex_facets
 
 from conftest import c6, seeded_complexes, seeded_graphs
@@ -215,6 +215,33 @@ def test_link_of_nonface_raises():
     c = independence_complex(c6())
     with pytest.raises(ComplexError):
         c.link({"v1", "v2"})
+
+
+def test_complex_refusals():
+    """Each refusal of a complex, and of an ideal's generators, which share
+    the normaliser, raises its own error type with its message."""
+    void = SimplicialComplex("ab", [])
+    for call, error, message in (
+            (lambda: void.dim, ComplexError, "void complex has no dimension"),
+            (void.f_vector, ComplexError, "void complex has no f-vector"),
+            (void.h_vector, ComplexError, "void complex has no f-vector"),
+            (void.purity_range, ComplexError, "void complex has no purity range"),
+            (lambda: void.is_pure, ComplexError, "void complex has no purity range"),
+            (lambda: SimplicialComplex("aba", [("a",)]), ComplexError,
+             "duplicate ambient vertices"),
+            (lambda: SimplicialComplex("ab", [("a", "z")]), ComplexError,
+             "facet ['a', 'z'] not within ambient set"),
+            (lambda: MonomialIdeal("aba", [("a",)]), IdealError,
+             "duplicate ambient vertices"),
+            (lambda: MonomialIdeal("ab", [("z",)]), IdealError,
+             "generator ['z'] not within ambient set"),
+            (SimplicialComplex((), [()]).alexander_dual, ComplexError,
+             "Alexander dual needs a nonempty ambient set"),
+            (lambda: simplex_on("abc").join(simplex_on("cde")), ComplexError,
+             "ambient sets overlap: ['c']")):
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error and str(err.value) == message, message
 
 
 @settings(max_examples=80, deadline=None)

@@ -51,8 +51,16 @@ def test_irrelevant_complex_is_vd():
 
 
 def test_void_complex_rejected():
-    with pytest.raises(ComplexError):
-        is_vertex_decomposable(SimplicialComplex("a", []))
+    void = SimplicialComplex("a", [])
+    for fn, message in (
+            (is_vertex_decomposable, "void complex: vertex decomposability undefined"),
+            (is_vd_brute_force, "void complex: vertex decomposability undefined"),
+            (shedding_vertices, "void complex has no shedding vertices"),
+            (is_shellable, "void complex: shellability undefined"),
+            (is_scm_via_dual, "void complex: SCM test undefined")):
+        with pytest.raises(ComplexError) as err:
+            fn(void)
+        assert str(err.value) == message, fn.__name__
 
 
 def test_c6_not_vd_but_whiskered_is():
@@ -526,6 +534,23 @@ def test_shedding_rule_call_counts(monkeypatch):
     assert calls[0] <= 8485
 
 
+def test_shedding_makes_no_search_without_beta(monkeypatch):
+    """Strong shedding lists decide the whole complex at the first vertex
+    where (beta) holds, so where none does no search runs, on either
+    route: the non-flag complex 1246 / 135 / 236 and Ind(C4), two disjoint
+    edges."""
+    def no_search(*args):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(decomposability, "_search", no_search)
+    monkeypatch.setattr(decomposability, "_vd", no_search)
+    hollow = SimplicialComplex("123456", ["1246", "135", "236"])
+    c4 = SimplicialComplex("abcd", ["ac", "bd"])
+    assert _flag_graph(hollow) is None and _flag_graph(c4) is not None
+    for c in (hollow, c4):
+        assert shedding_vertices(c) == shedding_vertices(c, weak=True) == []
+
+
 def _renamed(g, rng):
     """g with its vertices in a shuffled position order under fresh names,
     so neither the position order nor the old names fix the string order."""
@@ -793,20 +818,46 @@ def test_scm_examples():
     assert not is_scm_via_dual(independence_complex(c6()), GF2)
 
 
-def test_scm_ambient_bound_comes_first(monkeypatch):
-    """15 ambient vertices are refused by the SCM bound before any face is
-    listed: with no face allowed, the SCM message still wins, while 14
-    vertices reach the face enumeration."""
-    facets = [("x0", "x1"), ("x2",)]
-    fourteen, fifteen = (SimplicialComplex([f"x{i}" for i in range(n)], facets)
-                         for n in (14, 15))
-    monkeypatch.setattr("whiskers.complexes.FACE_ENUMERATION_BOUND", 0)
+def test_scm_bounds_are_the_face_set_and_the_oracle():
+    """A simplex is SCM at any size, before its faces are listed: the
+    20-simplex has 2^20 faces, past FACE_ENUMERATION_BOUND.  Past the
+    oracle's 16 variables every other complex is refused, by the face set
+    when it is too large, else by the oracle at the first component."""
+    names = [f"x{i}" for i in range(20)]
+    assert is_scm_via_dual(SimplicialComplex(names, [names]))
+    assert is_scm_via_dual(SimplicialComplex(names, [names]), QQ)
     with pytest.raises(ResourceLimit, match="^faces exceed the face "
-                       "enumeration bound 0$"):
-        is_scm_via_dual(fourteen)
-    with pytest.raises(ResourceLimit,
-                       match="^ambient size 15 exceeds the SCM bound 14$"):
-        is_scm_via_dual(fifteen)
+                       "enumeration bound 262144$"):
+        is_scm_via_dual(SimplicialComplex(names, [names[:19], names[19:]]))
+    seventeen = SimplicialComplex(names[:17], [("x0", "x1"), ("x2",)])
+    for k in (GF2, QQ):
+        with pytest.raises(ResourceLimit, match="^ambient size 17 exceeds "
+                           "the oracle bound 16$"):
+            is_scm_via_dual(seventeen, k)
+
+
+def test_scm_of_builds_of_15_and_16_vertices():
+    """Ind of seeded pi/cc/mc/md builds of 15 and 16 vertices is SCM over
+    F2 and QQ, as the paper claims, and a replayed VD certificate backs
+    each verdict.  Ind(C6 + P9) and Ind(C6 + P10), of 15 and 16 vertices,
+    are not SCM: a join is SCM only when both parts are, and Ind(C6) is
+    not."""
+    rng = random.Random("scm-15-16")
+    for kind in ("pi", "cc", "mc", "md"):
+        for size in (15, 16, 15, 16):
+            w = random_build(rng, kind, max_base=8, max_total=size)
+            while len(w.graph) != size:
+                w = random_build(rng, kind, max_base=8, max_total=size)
+            c = independence_complex(w.graph)
+            assert is_scm_via_dual(c, GF2) and is_scm_via_dual(c, QQ)
+            cert = is_vertex_decomposable(c)
+            assert cert.decomposable and verify_certificate(c, cert)
+    for k in (9, 10):
+        g = c6().disjoint_union(path_graph([f"p{i}" for i in range(k)]))
+        c = independence_complex(g)
+        assert len(c.ambient) == 6 + k
+        assert not is_scm_via_dual(c, GF2)
+        assert not is_scm_via_dual(c, QQ)
 
 
 def _ref_scm_components(delta):
@@ -852,6 +903,27 @@ def test_scm_matches_the_padding_sweep():
         for e, gens in _ref_scm_components(c).items():
             assert gens == _by_position(full ^ f for f in faces
                                         if f.bit_count() == n - e)
+        for k in (GF2, QQ):
+            verdict = is_scm_via_dual(c, k)
+            assert verdict == _ref_is_scm_via_dual(c, k), c.facet_tuples()
+            seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_scm_matches_the_padding_sweep_on_15_vertices():
+    """On 15 vertices, past the seeded complexes above, the verdict over F2
+    and QQ equals the padding sweep's: Ind of seeded random graphs and
+    seeded random facets of 1-5 vertices."""
+    rng = random.Random("scm-15")
+    names = [f"x{i}" for i in range(15)]
+    cases = [independence_complex(random_graph(rng, 15, rng.uniform(0.2, 0.5)))
+             for _ in range(20)]
+    cases += [SimplicialComplex(names, [rng.sample(names, rng.randint(1, 5))
+                                        for _ in range(rng.randint(2, 8))])
+              for _ in range(10)]
+    seen = set()
+    for c in cases:
+        assert len(c.ambient) == 15
         for k in (GF2, QQ):
             verdict = is_scm_via_dual(c, k)
             assert verdict == _ref_is_scm_via_dual(c, k), c.facet_tuples()

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from whiskers import (Graph, GraphError, ResourceLimit, complete_graph,
                       cycle_graph, default_spec, format_graph, graph_to_dot,
                       path_graph)
-from whiskers.graph import (MIS_ENUMERATION_BOUND, _by_position, _component,
-                            _isolated, _mask_bits, _mis_walk)
+from whiskers.graph import (MAX_VERTICES, MIS_ENUMERATION_BOUND, _by_position,
+                            _component, _isolated, _mask_bits, _mis_walk)
 from whiskers.randinst import random_graph
 
 from conftest import c6, fresh_copy, seeded_graphs
@@ -51,10 +51,25 @@ def graphs(max_n=9):
 def test_construction_rejects_bad_edges():
     # endpoints not declared up front are appended in first-seen order
     assert Graph(["a"], [("a", "b")]).vertices == ("a", "b")
-    with pytest.raises(GraphError):
-        Graph(["a", "b"], [("a", "a")])
-    with pytest.raises(GraphError):
-        Graph(["a", "a"], [])
+    names = [f"v{i}" for i in range(MAX_VERTICES + 1)]
+    half = Graph(names[:MAX_VERTICES // 2 + 1], [])
+    other = Graph(names[MAX_VERTICES // 2 + 1:] + ["w"], [])
+    for call, message in (
+            (lambda: Graph(["a", "b"], [("a", "a")]), "loop at 'a'"),
+            (lambda: Graph(["a", "a"], []), "duplicate vertex 'a'"),
+            (lambda: Graph(names, []), f"graph exceeds {MAX_VERTICES} vertices"),
+            # the cap counts edge ends added after the listed vertices
+            (lambda: Graph(names[:-1], [("v0", "w")]),
+             f"graph exceeds {MAX_VERTICES} vertices"),
+            # a union is checked by the derived graphs' cap
+            (lambda: half.disjoint_union(other),
+             f"graph exceeds {MAX_VERTICES} vertices"),
+            (lambda: half.disjoint_union(Graph(["v1", "v2", "x"], [])),
+             "vertex sets overlap: ['v1', 'v2']"),
+            (lambda: cycle_graph(["a", "b"]), "cycle needs at least 3 vertices")):
+        with pytest.raises(GraphError) as err:
+            call()
+        assert str(err.value) == message, message
 
 
 def test_unknown_names_raise_graph_error():

@@ -611,6 +611,36 @@ def test_join_formula_matches_oracle():
                                  field).as_quotient()
 
 
+def test_ideal_and_table_refusals():
+    """ideal_of, BettiTable and betti_join refuse with IdealError and say
+    why: a source of the wrong type, an unknown kind, mismatched fields,
+    tables not in the quotient convention, pd and reg of an empty table,
+    and a quotient table without (0,0)."""
+    g, cx = c6(), independence_complex(c6())
+    edge = BettiTable(GF2, {(0, 2): 1, (1, 3): 1})
+    quotient = edge.as_quotient()
+    for call, message in (
+            (lambda: ideal_of(g, "facet"), "facet ideal needs a simplicial complex"),
+            (lambda: ideal_of(g, "stanley-reisner"),
+             "stanley-reisner ideal needs a simplicial complex"),
+            (lambda: ideal_of(cx, "edge"), "edge ideal needs a graph"),
+            (lambda: ideal_of(cx, "cover"), "cover ideal needs a graph"),
+            (lambda: ideal_of(g, "bogus"), "unknown ideal kind 'bogus'"),
+            (lambda: betti_join(quotient, BettiTable(QQ, quotient.entries, "quotient")),
+             "field mismatch in join formula"),
+            (lambda: betti_join(quotient, edge),
+             "join formula takes quotient-convention tables"),
+            (lambda: betti_join(edge, quotient),
+             "join formula takes quotient-convention tables"),
+            (BettiTable(GF2).pd, "empty Betti table has no projective dimension"),
+            (BettiTable(GF2).reg, "empty Betti table has no regularity"),
+            (BettiTable(GF2, {(1, 2): 1}, "quotient").as_ideal,
+             "quotient table must carry the (0,0) -> 1 entry")):
+        with pytest.raises(IdealError) as err:
+            call()
+        assert str(err.value) == message, message
+
+
 def test_closed_formula_c6_ears():
     g = c6()
     spec = c6_ears_spec(g)

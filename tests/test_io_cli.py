@@ -373,6 +373,19 @@ def test_cli_error_codes(files, capsys):
     code, text = run_cli("betti", "--graph", "missing.graph", "--oracle-bound", "-1")
     assert (code, text, capsys.readouterr().err) == (
         2, "", "error: --oracle-bound -1 is below 0\n")
+    # so is --method recursive or both without --partition and the cover
+    # ideal, found before the oracle runs: on the path of 17 vertices the
+    # oracle would refuse with exit 3
+    (files / "p17.graph").write_text(
+        "".join(f"edge v{i} v{i + 1}\n" for i in range(1, 17)))
+    for method, extra in (("both", []), ("recursive", []),
+                          ("both", ["--partition", str(files / "ears.part"),
+                                    "--ideal", "edge"])):
+        code, text = run_cli("betti", "--graph", str(files / "p17.graph"),
+                             "--method", method, *extra)
+        assert (code, text, capsys.readouterr().err) == (
+            2, "", f"error: --method {method} needs --partition and the "
+                   "cover ideal\n"), (method, extra)
     (files / "empty.cx").write_text("")
     code, _ = run_cli("check-vd", "--complex", str(files / "empty.cx"))
     assert code == 2

@@ -56,9 +56,16 @@ def test_c6_ears_interval_stats():
 
 
 def test_interval_stats_rejects_nonmaximal():
+    """A set that is not maximal, or not an element at all: an edge of C6,
+    and a name outside the build."""
     p = FacetPoset(c6_ears())
-    with pytest.raises(PosetError):
-        p.interval_stats(p.least)
+    for f, message in (
+            (p.least, "interval statistics are defined for maximal elements"),
+            (frozenset({"v1", "v2"}), "not a poset element"),
+            (frozenset({"zz"}), "not a poset element")):
+        with pytest.raises(PosetError) as err:
+            p.interval_stats(f)
+        assert str(err.value) == message, sorted(f)
 
 
 def test_intervals_cover_poset():
