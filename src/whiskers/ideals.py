@@ -170,9 +170,10 @@ def betti_join(t1: BettiTable, t2: BettiTable) -> BettiTable:
 
 # -- the homology oracle -------------------------------------------------------
 
-# Homology by face list and field.  Pass 0 of each of seeds 0-5 fills
-# 228-622 entries on the benchmark's scm workload and 557-609 on betti; a
-# cache that reaches the bound is cleared and starts over.
+# Homology by face list and field, for the restrictions that are walked.
+# Pass 0 of each of seeds 0-5 fills 21-270 entries on the benchmark's scm
+# workload and 539-595 on betti; a cache that reaches the bound is cleared
+# and starts over.
 HOM_CACHE_BOUND = 1 << 16
 _hom_cache: dict[tuple, dict[int, int]] = {}
 
@@ -261,24 +262,42 @@ def _restriction_homology(w: int, nonface: bytes, faces: int,
     return hit
 
 
-def _subset_tables(gens: tuple[int, ...], n: int) -> tuple[bytes, bytes, bytes, int]:
+def _subset_tables(gens: tuple[int, ...],
+                   n: int) -> tuple[bytes, bytes, bytes, bytes, int]:
     """Tables over the 2^n subsets of n vertices with the given distinct
     generator masks, built with whole-table big-int operations instead of a
-    loop over subsets.  Returns (nonface, contributing, faces_below, nbytes):
-    - nonface: 0/1 per subset, the upward closure of the generators, built as
-      a bitset with one bit per subset;
-    - contributing: 0/1 per subset, 1 for the nonempty W in which every
-      vertex lies in a generator inside W.  Any other W has a cone point, so
-      its restriction is acyclic.  It is the AND over vertices b of "b not
-      in W, or W contains a generator holding b";
+    loop over subsets.  A nonempty W contributes when every vertex of W lies
+    in a generator inside W; any other W has a cone point, so its
+    restriction is acyclic.  A contributing W is the union of the generators
+    inside it: with one it is that generator, with two it is their union.
+    Returns (nonface, pairs, walked, faces_below, nbytes), one 0/1 byte per
+    subset in the first three:
+    - nonface: the upward closure of the generators;
+    - pairs: the contributing W with exactly two generators inside;
+    - walked: the contributing W with three or more generators inside, the
+      only W whose restriction ``_betti_terms`` walks;
     - faces_below: one little-endian counter of nbytes = n // 8 + 1 bytes
       per subset (so 2^n fits), the number of faces inside it: the face
       indicator summed over subsets, one shift-add per vertex.
+    The generators inside W are counted up to three by one carry-save pass:
+    ``up`` is the supersets of a generator, the AND of the subsets holding
+    each of its vertices, and it carries into ``twice`` where ``once`` is
+    set and into ``thrice`` where ``twice`` is.  Contributing is the AND over
+    vertices b of "b not in W, or W contains a generator holding b".
     """
     size = 1 << n
     full = (1 << size) - 1
     masks = _subset_masks(n, 1)
-    nonfaces = _up_closure(sum(1 << m for m in gens), masks)
+    holding = [full ^ m for m in masks]  # the W that hold vertex b
+    once = twice = thrice = 0
+    for g in gens:
+        up = full
+        for b in range(g.bit_length()):
+            if g >> b & 1:
+                up &= holding[b]
+        thrice |= twice & up
+        twice |= once & up
+        once |= up
     contributing = full ^ 1  # W = 0 never contributes
     for b in range(n):
         holders = sum(1 << m for m in gens if m >> b & 1)
@@ -286,27 +305,44 @@ def _subset_tables(gens: tuple[int, ...], n: int) -> tuple[bytes, bytes, bytes, 
 
     nbytes = n // 8 + 1
     packed = bytearray(nbytes * size)
-    packed[::nbytes] = _byte_table(full ^ nonfaces, size)
+    packed[::nbytes] = _byte_table(full ^ once, size)
     below = int.from_bytes(packed, "little")
     for b, m in enumerate(_subset_masks(n, 8 * nbytes)):
         below += (below & m) << (8 * nbytes << b)
-    return (_byte_table(nonfaces, size), _byte_table(contributing, size),
+    return (_byte_table(once, size),
+            _byte_table(contributing & twice & ~thrice, size),
+            _byte_table(contributing & thrice, size),
             below.to_bytes(nbytes * size, "little"), nbytes)
 
 
 def _betti_terms(ideal: MonomialIdeal, k: FieldSpec, ambient_bound: int,
                  skip_up_to: int = 0) -> Iterator[tuple[int, int, int]]:
     """The nonzero (i, j, dim) terms of Hochster's sum for a proper nonzero
-    ideal, restriction by restriction in increasing order of W, leaving out
-    every W of at most ``skip_up_to`` vertices."""
+    ideal, leaving out every W of at most ``skip_up_to`` vertices.
+
+    The terms of a W with one or two generators inside come from the tables
+    of ``_subset_tables`` without a walk, by the upper Koszul complex
+    (Miller-Sturmfels 2005, Thm 1.34) over every field: first each
+    generator g, as W = g, gives (0, |g|, 1) in the ideal's order; then
+    each W = g | g' of two, whose Alexander dual is the two disjoint
+    simplices W - g and W - g', gives (1, |W|, 1) in increasing order of W.
+    Last come the terms of the W with three or more generators inside,
+    restriction by restriction in increasing order of W, each walked by
+    ``_restriction_homology``."""
     n = len(ideal.ambient)
     if n > ambient_bound:
         raise ResourceLimit(f"ambient size {n} exceeds the oracle bound {ambient_bound}")
     if n > ORACLE_AMBIENT_CEILING:
         raise ResourceLimit(f"ambient size {n} exceeds the oracle ceiling "
                             f"{ORACLE_AMBIENT_CEILING}, which no bound raises")
-    nonface, contributing, faces_below, nbytes = _subset_tables(ideal._masks, n)
-    for w in compress(range(1 << n), contributing):
+    nonface, pairs, walked, faces_below, nbytes = _subset_tables(ideal._masks, n)
+    for g in ideal._masks:
+        if g.bit_count() > skip_up_to:
+            yield 0, g.bit_count(), 1
+    for w in compress(range(1 << n), pairs):
+        if w.bit_count() > skip_up_to:
+            yield 1, w.bit_count(), 1
+    for w in compress(range(1 << n), walked):
         j = w.bit_count()
         if j <= skip_up_to:
             continue
@@ -324,11 +360,14 @@ def betti_oracle(ideal: MonomialIdeal, k: FieldSpec = GF2,
 
     Sums reduced homology over the vertex-subset restrictions of the complex
     whose Stanley-Reisner ideal this is (Hochster's formula).  Bitset tables
-    over all 2^n subsets pick the restrictions that can contribute and tell
-    each walk which subsets are faces and whether the restriction or its
-    Alexander dual has fewer faces (see ``_subset_tables``).  Raises
-    ResourceLimit over ``ambient_bound`` or ``ORACLE_AMBIENT_CEILING``
-    variables.
+    over all 2^n subsets pick the restrictions that can contribute and count
+    the generators inside each up to three.  A restriction with one or two
+    generators gives its one term from the tables, the generators' first and
+    then the pairs'; only those with three or more are walked, and the
+    tables tell each walk which subsets are faces and whether the
+    restriction or its Alexander dual has fewer faces (see
+    ``_subset_tables`` and ``_betti_terms``).  Raises ResourceLimit over
+    ``ambient_bound`` or ``ORACLE_AMBIENT_CEILING`` variables.
     """
     if ideal.is_zero:
         return BettiTable(k, {}, "ideal")
@@ -457,7 +496,11 @@ def _hochster_linear(ideal: MonomialIdeal, k: FieldSpec) -> bool:
     # it is a simplex or the boundary of W.  At e + 1 it holds every
     # (e-1)-subset of W; its one possible (e-1)-cycle needs every e-subset,
     # so a generator inside W leaves none, and without one it is a simplex.
-    # The walk stops at the first term off the strand.
+    # The pairs' terms (1, |g | g'|) come from the tables before any walk,
+    # so two generators whose union has more than e + 1 vertices answer
+    # False at once; the restrictions with three or more generators are
+    # walked only after every pair lies on the strand, and the walks stop
+    # at the first term off it.
     return all(j == i + e for i, j, _ in
                _betti_terms(ideal, k, DEFAULT_ORACLE_AMBIENT_BOUND, e + 1))
 

@@ -24,7 +24,8 @@ from whiskers.ideals import (HOM_CACHE_BOUND, ORACLE_AMBIENT_CEILING,
                              RECURSION_NODE_BOUND, BettiTable, IdealError,
                              MonomialIdeal, ResourceLimit, _betti_terms,
                              _hochster_linear, _hom_cache, _linear_quotients,
-                             _subset_masks, _subset_tables)
+                             _restriction_homology, _subset_masks,
+                             _subset_tables)
 from whiskers.graph import _by_position
 from whiskers.randinst import random_build, random_graph
 from whiskers.whisker import WhiskeredGraph
@@ -572,7 +573,10 @@ def test_oracle_k_polynomial_up_to_bound():
 
 def test_subset_tables_match_per_subset_reference():
     """The bitset tables of the oracle and the masks they are built from,
-    against one loop over all subsets."""
+    against one loop over all subsets: the nonfaces, the contributing W
+    with exactly two generators inside and those with three or more, which
+    with the minimal generators make up all the contributing W, and the
+    face counts."""
     for n in range(7):
         for width in (1, 8, 16, 24):
             field = (1 << width) - 1
@@ -584,15 +588,22 @@ def test_subset_tables_match_per_subset_reference():
         n = 1 + t % 10
         gens = sorted({rng.getrandbits(n) | 1 << rng.randrange(n)
                        for _ in range(rng.randint(0, n + 2))})
-        nonface, contributing, faces_below, nbytes = _subset_tables(gens, n)
-        covered = [0] * (1 << n)
+        nonface, pairs, walked, faces_below, nbytes = _subset_tables(gens, n)
+        covered, inside = [0] * (1 << n), [0] * (1 << n)
         for s in range(1 << n):
             for g in gens:
                 if g & s == g:
                     covered[s] |= g
+                    inside[s] += 1
+        contributing = [s != 0 and c == s for s, c in enumerate(covered)]
         assert list(nonface) == [int(c != 0) for c in covered], gens
-        assert list(contributing) == [int(s != 0 and c == s)
-                                      for s, c in enumerate(covered)], gens
+        assert list(pairs) == [int(c and m == 2)
+                               for c, m in zip(contributing, inside)], gens
+        assert list(walked) == [int(c and m >= 3)
+                                for c, m in zip(contributing, inside)], gens
+        # the rest of the contributing W are the minimal generators
+        assert [s for s, c in enumerate(contributing) if c and inside[s] == 1] \
+            == [g for g in gens if inside[g] == 1], gens
         counts = [int.from_bytes(faces_below[nbytes * w:nbytes * (w + 1)],
                                  "little") for w in range(1 << n)]
         assert counts == [sum(not covered[s] for s in range(w + 1) if s & w == s)
@@ -735,6 +746,78 @@ def test_strand_prune_matches_the_oracle():
         assert has_linear_resolution(ideal, field) == verdict
         linear += verdict
     assert 10 < linear < 80
+
+
+def test_pairs_refute_before_any_walk(monkeypatch):
+    """Two generators whose union holds no third give the term
+    (1, |g | g'|, 1), read from the tables before any restriction is walked.
+    The edge ideal of two disjoint edges, whose complement is C4, is not
+    linear with the walk patched to raise.  On seeded edge ideals every
+    ideal whose complement has an induced C4 is refuted without a walk, and
+    every verdict is Froeberg's: linear exactly when the complement is
+    chordal."""
+    def no_walk(*args):
+        raise AssertionError("walked a restriction")
+
+    two_edges = Graph("abcd", [("a", "b"), ("c", "d")])
+    with monkeypatch.context() as patch:
+        patch.setattr("whiskers.ideals._restriction_homology", no_walk)
+        assert not has_linear_resolution(ideal_of(two_edges, "edge"), GF2)
+
+    walks = []
+
+    def counted(*args):
+        walks.append(args[0])
+        return _restriction_homology(*args)
+
+    monkeypatch.setattr("whiskers.ideals._restriction_homology", counted)
+    rng = random.Random("pairs-first")
+    graphs = [g for g in seeded_graphs() if g.edges]
+    graphs += [random_graph(rng, rng.randint(4, 9), rng.uniform(0.3, 0.8))
+               for _ in range(60)]
+    refuted = walked = 0
+    for g in graphs:
+        co = g.complement()
+        c4 = any(all(len(co.neighbors(v) & set(s)) == 2 for v in s)
+                 for s in combinations(g.vertices, 4))
+        walks.clear()
+        verdict = has_linear_resolution(ideal_of(g, "edge"), GF2)
+        assert verdict == co.is_chordal()[0], g.edges
+        if c4:
+            assert not verdict and not walks, g.edges
+            refuted += 1
+        walked += bool(walks)
+    assert (len(graphs), refuted, walked) == (101, 50, 3)
+
+
+def test_oracle_terms_from_tables_match_koszul():
+    """Ideals whose contributing W mostly hold one or two generators, where
+    the oracle reads the terms from its tables: cover ideals of seeded
+    forests and of cycles, and edge ideals of matchings beside isolated
+    vertices.  Every table over F2, F3 and QQ equals the Koszul one."""
+    rng = random.Random("table-terms")
+    cases = []
+    for _ in range(6):
+        names = [f"v{i}" for i in range(rng.randint(3, 5))]
+        edges = [(v, rng.choice(names[:i])) for i, v in enumerate(names)
+                 if i and rng.random() < 0.8]
+        cases.append(ideal_of(Graph(names, edges), "cover"))
+    cases += [ideal_of(cycle_graph([f"c{i}" for i in range(n)]), "cover")
+              for n in (3, 4, 5)]
+    for pairs in (1, 2):
+        names = [f"x{i}" for i in range(2 * pairs + rng.randint(0, 1))]
+        cases.append(ideal_of(Graph(names, [(names[2 * t], names[2 * t + 1])
+                                            for t in range(pairs)]), "edge"))
+    read = walked = 0
+    for ideal in cases:
+        _, pairs, rest, _, _ = _subset_tables(ideal._masks, len(ideal.ambient))
+        read += len(ideal._masks) + sum(pairs)
+        walked += sum(rest)
+        for field in (GF2, FieldSpec(3), QQ):
+            got = betti_oracle(ideal, field).as_quotient().entries
+            assert got == koszul_betti(ideal, field.p or 0), \
+                (ideal.generator_tuples(), field)
+    assert read > 2 * walked
 
 
 def _build_components(rng, count):
@@ -895,16 +978,20 @@ def test_hom_cache_keeps_fields_apart():
 def _walked_families(ideal) -> tuple[int, int]:
     """(restrictions the oracle walks, distinct complexes among them).
 
-    Per contributing W, the family walked is the restriction's faces or,
-    when they are more than half the subsets of W, the Alexander dual's
-    (the S with W - S a nonface).  Two families count once when they are
-    the same complex after each is renumbered over its own support."""
+    The oracle walks the contributing W with three or more generators
+    inside; the terms of the others come from its tables.  Per walked W,
+    the family walked is the restriction's faces or, when they are more
+    than half the subsets of W, the Alexander dual's (the S with W - S a
+    nonface).  Two families count once when they are the same complex
+    after each is renumbered over its own support."""
     walked, seen = 0, set()
     for w in range(1, 1 << len(ideal.ambient)):
         inside = [g for g in ideal._masks if g & w == g]
         if sum(1 << b for b in range(w.bit_length())
                if any(g >> b & 1 for g in inside)) != w:
             continue  # a cone point: the restriction is acyclic
+        if len(inside) <= 2:
+            continue  # W is a generator or the union of two
         walked += 1
         subsets = [s for s in range(w + 1) if s & w == s]
         faces = {s for s in subsets if not any(g & s == g for g in inside)}
@@ -947,11 +1034,11 @@ def test_hom_cache_shares_entries_across_ghost_vertices():
         betti_oracle(ideal, GF2)
         assert len(_hom_cache) == _walked_families(ideal)[1], \
             ideal.generator_tuples()
-    # the cover ideal of C5 walks 11 restrictions, all copies of 3 complexes
+    # the cover ideal of C7 walks 8 restrictions, all copies of 5 complexes
     _hom_cache.clear()
-    c5 = ideal_of(cycle_graph(list("abcde")), "cover")
-    betti_oracle(c5, GF2)
-    assert len(_hom_cache) == 3 < _walked_families(c5)[0] == 11
+    c7 = ideal_of(cycle_graph(list("abcdefg")), "cover")
+    betti_oracle(c7, GF2)
+    assert len(_hom_cache) == 5 < _walked_families(c7)[0] == 8
 
 
 def test_tsv_output():
