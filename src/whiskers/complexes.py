@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Iterable, Iterator
 
-from .fields import QQ, FieldSpec, _rank, rank_gf2
+from .fields import QQ, FieldSpec, reduce_column
 from .graph import (MAX_VERTICES, Graph, ResourceLimit, _by_position, _close_up,
                     _mask_bits, _mask_tuples)
 
@@ -329,13 +329,17 @@ def _subsets_of(mask: int) -> Iterator[int]:
 def _homology_masks(faces: Iterable[int], k: FieldSpec) -> dict[int, int]:
     """Reduced homology dims of a complex given as face bitmasks (incl. 0).
 
-    Each boundary C_d -> C_{d-1} is built column by column, one column per
-    d-face, by a lowest-bit loop over the face: over F2 a bitmask of its
-    facets' row indices for ``rank_gf2``, over any other field a sparse
-    {row index: +-1} dict of its d+1 entries (-1 written as p - 1 over F_p),
-    handed as one row of the transpose to ``fields._rank``, which consumes
-    these fresh columns.  Faces are indexed in the order they arrive; a rank
-    does not depend on it.
+    The faces of each dimension are indexed once, in the order they arrive.
+    The boundaries are reduced top down, d_top first and d_0 (onto the empty
+    face) last, each column by ``fields.reduce_column``: over F2 a bitset
+    of its facets' indices, over any other field a sparse {index: +-1} dict
+    of its d+1 entries (-1 written as p - 1 over F_p), built by a lowest-bit
+    loop over the face.  rank d_d is the number of pivots.  Clearing (the
+    twist of persistent homology) skips the column of every d-face that is
+    the low of a d_{d+1} pivot: that pivot z is a cycle, d_d z = 0, and its
+    highest entry lies at the face, so the face's column is a combination
+    of columns of lower index and the rank is the same without it, for any
+    face order.
     """
     by_dim: dict[int, list[int]] = {}
     for m in faces:
@@ -343,14 +347,18 @@ def _homology_masks(faces: Iterable[int], k: FieldSpec) -> dict[int, int]:
     top = max(by_dim)
     if top == -1:
         return {-1: 1}
-    ranks: dict[int, int] = {}  # rank of boundary C_d -> C_{d-1}
-    rows = {0: 0}  # the (d-1)-faces by index
-    neg = 0 if k.is_rational else k.p  # sign -> neg - sign flips it
-    for d in range(0, top + 1):
-        cols = []
-        for m in by_dim[d]:
+    p = k.p
+    neg = 0 if p is None else p  # sign -> neg - sign flips it
+    ranks = {top + 1: 0}  # rank of boundary C_d -> C_{d-1}
+    lows: dict = {}  # the lows of d_{d+1}, by index of d-face
+    for d in range(top, -1, -1):
+        rows = {m: i for i, m in enumerate(by_dim[d - 1])}
+        pivots: dict = {}
+        for i, m in enumerate(by_dim[d]):
+            if i in lows:
+                continue
             rest = m
-            if k.p == 2:
+            if p == 2:
                 c = 0
                 while rest:
                     low = rest & -rest
@@ -363,13 +371,9 @@ def _homology_masks(faces: Iterable[int], k: FieldSpec) -> dict[int, int]:
                     c[rows[m ^ low]] = sign
                     sign = neg - sign
                     rest ^= low
-            cols.append(c)
-        if k.p == 2:
-            ranks[d] = rank_gf2(cols)
-        else:
-            ranks[d] = _rank(cols, k.p)
-        rows = {m: i for i, m in enumerate(by_dim[d])}
-    ranks[top + 1] = 0
+            reduce_column(c, pivots, p)
+        ranks[d] = len(pivots)
+        lows = pivots
     return {d: len(by_dim.get(d, ())) - ranks.get(d, 0) - ranks[d + 1]
             for d in range(-1, top + 1)}
 

@@ -1,11 +1,12 @@
 """Coefficient fields and exact rank computations.
 
 Homology (and hence every Betti number) is computed over either a prime
-field F_p or the rationals.  Ranks are exact.  F_2 has its own path,
-elimination on column bitsets held in Python ints.  Every other field goes
-through one sparse forward elimination on Python ints, with entries reduced
-mod p for F_p and kept as integer rows divided by their content for the
-rationals.
+field F_p or the rationals.  Ranks are exact.  Every field goes through one
+elimination routine, ``reduce_column``: a column is reduced by the kept
+columns, keyed by their lowest (highest-index) nonzero entry, the standard
+reduction of persistent homology.  A column is an int bitset over F_2 and a
+sparse {row: value} dict of Python ints otherwise, reduced mod p over F_p
+and kept in integers, divided by their content, over the rationals.
 """
 
 from __future__ import annotations
@@ -62,85 +63,86 @@ GF2 = FieldSpec(2)
 QQ = FieldSpec(None)
 
 
+def reduce_column(col: int | dict[int, int], pivots: dict,
+                  p: int | None) -> None:
+    """Reduce one column by the kept pivot columns, and keep what is left.
+
+    The one elimination routine, for every field.  A column is an int
+    bitset of its rows, for F_2, or a {row: value} dict of its nonzero
+    entries, reduced mod p over F_p (p=None: the rationals); a dict is
+    consumed.  ``pivots`` maps each kept column's low, its highest row
+    with a nonzero entry, to that column.  No two kept columns share a low,
+    so they are independent and len(pivots) is the rank so far.  While col's
+    low is a pivot's, col takes off the multiple of that pivot that clears
+    the low, which changes only rows at or below it; a column left nonzero
+    is kept under its new low.  Over F_p a pivot is scaled to 1 at its low
+    when it is kept.  Over the rationals the arithmetic stays in integers:
+    a +-1 low clears col with an integer multiple of the pivot, and any
+    other low first scales col by it, after which col is divided by its
+    content (the gcd of its entries), which keeps entries small.
+    """
+    if isinstance(col, int):
+        while col:
+            low = col.bit_length() - 1
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
+                return
+            col ^= piv
+        return
+    while col:
+        low = max(col)
+        piv = pivots.get(low)
+        if piv is None:
+            if p is not None and col[low] != 1:
+                inv = pow(col[low], -1, p)
+                for j in col:
+                    col[j] = col[j] * inv % p
+            pivots[low] = col
+            return
+        f, lead = col[low], piv[low]  # lead is 1 over F_p
+        scaled = p is None and lead != 1 and lead != -1
+        if scaled:  # lead * col - f * piv has no entry at low
+            for j in col:
+                col[j] *= lead
+        elif lead == -1:  # col - (f / lead) * piv
+            f = -f
+        for j, x in piv.items():
+            y = col.get(j, 0) - f * x
+            if p is not None:
+                y %= p
+            if y:
+                col[j] = y
+            else:  # y == 0 only where col already had an entry
+                del col[j]
+        if col and scaled:
+            g = gcd(*col.values())
+            if g > 1:
+                for j in col:
+                    col[j] //= g
+
+
 def rank_gf2(columns: list[int]) -> int:
     """Rank over F_2 of a matrix given as column bitmasks."""
     pivots: dict[int, int] = {}
-    rank = 0
     for col in columns:
-        while col:
-            top = col.bit_length()
-            row = pivots.get(top)
-            if row is None:
-                pivots[top] = col
-                rank += 1
-                break
-            col ^= row
-    return rank
-
-
-def _rank(rows: list[dict[int, int]], p: int | None) -> int:
-    """Rank over F_p, or over the rationals when p is None.
-
-    Sparse forward elimination on Python ints: each row is a nonempty
-    {col: value} dict of its nonzero entries, already reduced mod p over
-    F_p, and the rows are consumed.  The shortest remaining row is the
-    pivot, which keeps fill-in low on boundary matrices; its column is
-    cleared from the other rows and the pivot row is dropped.  Over F_p a
-    row is cleared with the pivot's inverse and its entries stay reduced.
-    Over the rationals a +-1 pivot clears a row with an integer multiple of
-    itself; any other pivot first scales the row by the lead, and the row is
-    then divided by its content (the gcd of its entries), which keeps entries
-    small.  A rank needs no back substitution and no unit pivots, so neither
-    is done.
-    """
-    work, rank = rows, 0
-    while work:
-        pivot = min(work, key=len)
-        rank += 1
-        col, lead = next(iter(pivot.items()))
-        unit = p is not None or lead == 1 or lead == -1
-        inv = lead if p is None else pow(lead, -1, p)
-        rest = []
-        for r in work:
-            if r is pivot:
-                continue
-            a = r.get(col)
-            if a is not None:
-                if unit:
-                    f = a * inv
-                else:  # lead * r - a * pivot has no entry in col
-                    for j in r:
-                        r[j] *= lead
-                    f = a
-                for j, x in pivot.items():
-                    y = r.get(j, 0) - f * x
-                    if p is not None:
-                        y %= p
-                    if y:
-                        r[j] = y
-                    else:  # y == 0 only where r already had an entry
-                        del r[j]
-                if not r:
-                    continue
-                if not unit:
-                    g = gcd(*r.values())
-                    if g > 1:
-                        for j in r:
-                            r[j] //= g
-            rest.append(r)
-        work = rest
-    return rank
+        reduce_column(col, pivots, 2)
+    return len(pivots)
 
 
 def rank_modp(rows: list[dict[int, int]], p: int) -> int:
     """Rank over F_p of an integer matrix given as sparse rows, one
     {col: value} dict of nonzero entries per row, which are left alone."""
-    work = ({j: x % p for j, x in r.items() if x % p} for r in rows)
-    return _rank([r for r in work if r], p)
+    pivots: dict[int, dict[int, int]] = {}
+    for r in rows:
+        reduce_column({j: x % p for j, x in r.items() if x % p}, pivots, p)
+    return len(pivots)
 
 
 def rank_rational(rows: list[dict[int, int]]) -> int:
     """Rank over the rationals of an integer matrix given as sparse rows,
     one {col: value} dict of nonzero entries per row, which are left alone."""
-    work = ({j: x for j, x in r.items() if x} for r in rows)
-    return _rank([r for r in work if r], None)
+    pivots: dict[int, dict[int, int]] = {}
+    for r in rows:
+        reduce_column({j: x for j, x in r.items() if x}, pivots, None)
+    return len(pivots)
