@@ -8,13 +8,13 @@ decide the complex once, at the first vertex where (beta) holds, then only
 each deletion where (beta) holds.
 
 Certificates come from two searches that find the same trees.  A
-certificate names shed vertices that its replay re-splits facet by facet,
-and its text depends on the trial order, so both follow one label order
-and `check-vd` output does not change with the route.  On a flag complex
-Ind(H), `is_vertex_decomposable` runs the graph walk `_walk`, which keeps
-each subcomplex Ind(H[u]) as its vertex mask u and asks `graph._witness`
-for (beta).  Every other complex, and in `shedding_vertices` its
-deletions, goes to the facet search `_search`.
+certificate names shed vertices, which its replay turns into bits and
+re-splits mask by mask, and its text depends on the trial order, so both
+follow one label order and `check-vd` output does not change with the
+route.  On a flag complex Ind(H), `is_vertex_decomposable` runs the graph
+walk `_walk`, which keeps each subcomplex Ind(H[u]) as its vertex mask u
+and asks `graph._witness` for (beta).  Every other complex, and in
+`shedding_vertices` its deletions, goes to the facet search `_search`.
 The facet search starts from the complex's own ``_masks`` and keeps every
 subcomplex as int bitmasks over those position bits, never renumbered.
 Both have one mode: they follow the label order and return a certificate
@@ -54,9 +54,14 @@ vertices either change made more than twice the calls;
 A refutation is the input complex itself.  A failed deletion sends its
 parent on to the next trial vertex and a failed link refutes the parent,
 so the search is stuck exactly when the top complex is, and
-``VDCertificate.refutation`` lists the input's facets.  The label-level
-``_split`` serves only the certificate replay and the brute-force oracle,
-which check every search independently.
+``VDCertificate.refutation`` lists the input's facets, each as its names
+in string order, the facets in the order of those name tuples.  It is
+written from the masks: the names are ranked once, each facet becomes the
+mask of its ranks, and position order on those masks is the order wanted,
+so names are put on only at the end.  `verify_certificate` replays a
+certificate on the complex's masks with its own split, and the label-level
+``_split`` serves only the brute-force oracle; both check every search
+independently.
 
 A refutation found without the search has the same text.  A VD complex
 is shellable (Bjorner-Wachs 1997, Thm 11.3), and a shellable complex, pure
@@ -78,7 +83,7 @@ from typing import Collection, Iterator
 
 from .complexes import ComplexError, SimplicialComplex, _f_to_h
 from .fields import GF2, FieldSpec
-from .graph import (Graph, ResourceLimit, _by_position, _mask_bits, _Memo,
+from .graph import (Graph, ResourceLimit, _by_position, _mask_tuples, _Memo,
                     _mis_walk, _vd, _witness, is_vd_graph)
 from .ideals import MonomialIdeal, has_linear_resolution
 
@@ -345,16 +350,23 @@ def _flag_graph(delta: SimplicialComplex) -> tuple[int, ...] | None:
     return adj
 
 
+def _name_order(ambient: tuple) -> list[int]:
+    """The positions of ``ambient`` in the string order of their names,
+    equal strings by position."""
+    return sorted(range(len(ambient)), key=lambda i: str(ambient[i]))
+
+
 def _top_order(delta: SimplicialComplex) -> list[int]:
     """The support's position bits, in the string order of their names."""
-    bits = _mask_bits(reduce(int.__or__, delta._masks, 0))
-    return [1 << i for i in sorted(bits, key=lambda i: str(delta.ambient[i]))]
+    support = reduce(int.__or__, delta._masks, 0)
+    return [1 << i for i in _name_order(delta.ambient) if support >> i & 1]
 
 
 def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
     """Exact decision with a replayable certificate or a stuck subcomplex.
 
-    A refutation is the input complex itself: its facets, sorted as strings.
+    A refutation is the input complex itself: its facets, sorted as the
+    tuples of their names' strings.
     A VD complex is shellable (Bjorner-Wachs 1997, Thm 11.3), and a
     shellable one has no negative h-triangle entry (Bjorner-Wachs 1996,
     Thm 3.4), so within H_TRIANGLE_BOUND a negative entry refutes the input
@@ -382,27 +394,70 @@ def is_vertex_decomposable(delta: SimplicialComplex) -> VDCertificate:
                     named(node[2]), named(node[3]))
 
         return VDCertificate(True, tree=named(tree))
-    stuck = tuple(tuple(sorted(f, key=str))
-                  for f in sorted(delta.facets, key=lambda f: sorted(map(str, f))))
+    # bit r of a rank mask is the r-th name in string order, so position
+    # order on rank masks is the order of the facets' sorted name strings
+    order = _name_order(delta.ambient)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = 1 << r
+    ranked = []
+    for m in masks:
+        rm = 0
+        while m:
+            low = m & -m
+            rm |= rank[low.bit_length() - 1]
+            m ^= low
+        ranked.append(rm)
+    names = tuple(delta.ambient[i] for i in order)
+    stuck = tuple(_mask_tuples(names, _by_position(ranked)))
     return VDCertificate(False, refutation=stuck)
 
 
 def verify_certificate(delta: SimplicialComplex, cert: VDCertificate) -> bool:
-    """Replay a positive certificate, re-checking conditions at every node."""
+    """Replay a positive certificate on the complex's position masks,
+    re-checking the shedding conditions at every node.
+
+    Each shed name becomes its bit once.  A node's masks split into the
+    deletion (the facets without x) and the link (the others, less x), and
+    (beta) holds when every link mask lies inside a deletion mask; facets
+    form an antichain, so inside means properly inside.  The replay has
+    its own loop and calls neither search, so it checks both.  It rejects
+    a negative certificate, a node that is neither ("simplex",) nor a
+    4-tuple ("shed", v, deletion, link), a name outside the ambient set, a
+    shed vertex in no facet of its node (a void link), a failed (beta), and
+    a "simplex" leaf on more than one facet.  Each shed takes its vertex
+    out of the support, so no tree replays deeper than the support.
+    """
     if not cert.decomposable:
         return False
+    bit = {v: 1 << i for i, v in enumerate(delta.ambient)}
 
-    def walk(facets: FacetSet, node: Tree) -> bool:
-        if node[0] == "simplex":
+    def replay(facets: Collection[int], node) -> bool:
+        if node == ("simplex",):
             return len(facets) <= 1
-        _, x, tree_d, tree_l = node
-        split = _split(facets, x)
-        if split is None:
+        if type(node) is not tuple or len(node) != 4 or node[0] != "shed":
             return False
-        return (walk(frozenset(split[0]), tree_d)
-                and walk(frozenset(split[1]), tree_l))
+        try:
+            x = bit[node[1]]
+        except (KeyError, TypeError):  # not a name of the ambient set
+            return False
+        keep, link = [], []
+        for f in facets:
+            if f & x:
+                link.append(f ^ x)
+            else:
+                keep.append(f)
+        if not link:
+            return False
+        for c in link:
+            for k in keep:
+                if not c & ~k:
+                    break
+            else:
+                return False
+        return replay(keep, node[2]) and replay(link, node[3])
 
-    return walk(frozenset(delta.facets), cert.tree)
+    return replay(delta._masks, cert.tree)
 
 
 def is_vd_brute_force(delta: SimplicialComplex) -> bool:

@@ -255,7 +255,15 @@ def _witness(adj: tuple[int, ...], avail: int, undominated: int,
 
 def _mask_tuples(names: tuple[str, ...], masks: Iterable[int]) -> list[tuple[str, ...]]:
     """Each mask as the tuple of its names, in position order."""
-    return [tuple(names[i] for i in _mask_bits(m)) for m in masks]
+    out = []
+    for m in masks:
+        named = []
+        while m:
+            low = m & -m
+            named.append(names[low.bit_length() - 1])
+            m ^= low
+        out.append(tuple(named))
+    return out
 
 
 class Graph:

@@ -92,6 +92,49 @@ def test_certificate_replay_rejects_tampering():
                  ("shed", "b", ("simplex",), link),  # a subtree cut short
                  ("shed", "b", link, deletion)):  # children swapped
         assert not verify_certificate(c, VDCertificate(True, tree=tree)), tree
+    # a shed vertex in no facet of its node leaves the deletion as it was
+    # and a void link, which a "simplex" leaf would accept
+    path = SimplicialComplex("abc", ["ab", "bc"])
+    real = is_vertex_decomposable(path).tree
+    assert real == ("shed", "a", ("simplex",), ("simplex",))
+    assert verify_certificate(path, VDCertificate(True, tree=real))
+    for ambient, v in (("abc", "zz"), ("abcd", "d")):
+        c = SimplicialComplex(ambient, ["ab", "bc"])
+        tree = ("shed", v, real, ("simplex",))
+        assert not verify_certificate(c, VDCertificate(True, tree=tree)), v
+
+
+def test_certificate_replay_rejects_malformed_trees():
+    """A node that is not ("simplex",) or a 4-tuple ("shed", v, deletion,
+    link) replays to False, without an exception."""
+    c = independence_complex(path_graph(list("abcd")))
+    leaf = ("simplex",)
+    for tree in (None, ("shed", "a"), ("leaf",), ("simplex", "a"), [],
+                 ["simplex"], ("shed", "b", None, leaf),
+                 ("shed", "b", ("shed", "c", leaf, leaf), None),
+                 ("shed", "b", ("shed", "c", leaf, leaf), leaf, leaf),
+                 ("shed", ["b"], leaf, leaf), ("shed", None, leaf, leaf)):
+        assert not verify_certificate(c, VDCertificate(True, tree=tree)), tree
+    assert not verify_certificate(c, VDCertificate(True))
+
+
+def _code_names(code):
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _code_names(const)
+    return names
+
+
+def test_replay_calls_neither_search():
+    """The replay checks both searches, so it shares no code with them:
+    no split, search or walk of this module and nothing defined in graph."""
+    own = {name for name, value in vars(graph).items()
+           if getattr(value, "__module__", None) == graph.__name__}
+    used = _code_names(verify_certificate.__code__)
+    assert not used & (own | {"_split", "_split_masks", "_search", "_walk",
+                              "_key", "graph"})
+    assert "_masks" in used
 
 
 def test_chordal_graphs_are_vd():
@@ -1131,3 +1174,114 @@ def test_vd_outputs_match_pinned_digests():
         "b0c32225827c05545ee156eab47e459e67c1b6a411399a7c37557b2f2c7a8b80")
     assert _vd_digest(randoms) == (
         "6b1e23c16ae6722c7f3eac421d4d1f342316bafbdd4481e83c224ea1affdb0d2")
+
+
+# -- reference: the replay that re-split frozensets of names and the
+# refutation that string-sorted the named facets, kept as independent copies --
+
+def _ref_replay(delta, cert, absent):
+    """The name-level replay; every shed of a vertex in no facet of its
+    node, which it accepted, goes into ``absent``."""
+    if not cert.decomposable:
+        return False
+
+    def walk(facets, node):
+        if node[0] == "simplex":
+            return len(facets) <= 1
+        _, x, tree_d, tree_l = node
+        if not any(x in f for f in facets):
+            absent.append(x)
+        split = _split(facets, x)
+        if split is None:
+            return False
+        return (walk(frozenset(split[0]), tree_d)
+                and walk(frozenset(split[1]), tree_l))
+
+    return walk(frozenset(delta.facets), cert.tree)
+
+
+def _ref_refutation(delta):
+    return tuple(tuple(sorted(f, key=str))
+                 for f in sorted(delta.facets, key=lambda f: sorted(map(str, f))))
+
+
+def _shed_paths(node, path=()):
+    if node[0] == "shed":
+        yield path
+        yield from _shed_paths(node[2], path + (2,))
+        yield from _shed_paths(node[3], path + (3,))
+
+
+def _replace(node, path, new):
+    if not path:
+        return new
+    i = path[0]
+    return node[:i] + (_replace(node[i], path[1:], new),) + node[i + 1:]
+
+
+def _tampered(tree, support, rng):
+    """Each shed node with its children swapped, its vertex replaced by
+    another of the complex's support, its subtree cut to a leaf, or its
+    deletion or link put under a shed of its own vertex, which no facet
+    there holds."""
+    for path in _shed_paths(tree):
+        node = tree
+        for i in path:
+            node = node[i]
+        _, v, tree_d, tree_l = node
+        other = rng.choice([u for u in support if u != v])
+        leaf = ("simplex",)
+        for new in (("shed", v, tree_l, tree_d), ("shed", other, tree_d, tree_l),
+                    leaf, ("shed", v, ("shed", v, tree_d, leaf), tree_l),
+                    ("shed", v, tree_d, ("shed", v, tree_l, leaf))):
+            yield _replace(tree, path, new)
+
+
+def _mixed_names(rng, n):
+    """n names whose string order differs from their order here."""
+    pool = ["9", "10", "B", "a", "11", "1", "x2", "x10", "Z", "100", "b", "_"]
+    names = rng.sample(pool, n)
+    while names == sorted(names):
+        rng.shuffle(names)
+    return names
+
+
+def test_mask_replay_and_refutation_match_name_reference():
+    """The mask replay and the rank-mask refutation against copies of the
+    name-level code they replaced, on Ind(G) of seeded graphs and on seeded
+    facet lists whose names sort differently as strings than by position,
+    and on every tampering of each certificate: the texts agree, and so do
+    the verdicts, except that a shed of a vertex in no facet of its node,
+    which the name-level replay accepted, is rejected."""
+    rng = random.Random(53)
+    cases = []
+    for t in range(60):
+        n = 4 + t % 9
+        names = _mixed_names(rng, n)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.6))
+        rename = dict(zip(g.vertices, names)).__getitem__
+        cases.append(independence_complex(
+            Graph(names, [map(rename, e) for e in g.edges])))
+        facets = random_complex_facets(rng, n)
+        cases.append(SimplicialComplex(
+            names, [[names[int(v) - 1] for v in f] for f in facets]))
+    verdicts, outcomes, absent_seen = set(), set(), 0
+    for c in cases:
+        cert = is_vertex_decomposable(c)
+        verdicts.add(cert.decomposable)
+        if not cert.decomposable:
+            assert cert.refutation == _ref_refutation(c)
+            continue
+        assert verify_certificate(c, cert) and _ref_replay(c, cert, [])
+        support = sorted(c.support())
+        if len(support) < 2:
+            continue
+        for tree in _tampered(cert.tree, support, rng):
+            forged = VDCertificate(True, tree=tree)
+            absent = []
+            ref = _ref_replay(c, forged, absent)
+            assert verify_certificate(c, forged) == (ref and not absent), tree
+            absent_seen += ref and bool(absent)
+            outcomes.add(ref)
+    assert verdicts == outcomes == {True, False}
+    assert absent_seen
