@@ -426,8 +426,11 @@ def verify_certificate(delta: SimplicialComplex, cert: VDCertificate) -> bool:
     4-tuple ("shed", v, deletion, link), a name outside the ambient set, a
     shed vertex in no facet of its node (a void link), a failed (beta), and
     a "simplex" leaf on more than one facet.  Each shed takes its vertex
-    out of the support, so no tree replays deeper than the support.
+    out of the support, so no tree replays deeper than the support.  Like
+    the searches, it raises ComplexError on the void complex.
     """
+    if delta.is_void:
+        raise ComplexError("void complex: vertex decomposability undefined")
     if not cert.decomposable:
         return False
     bit = {v: 1 << i for i, v in enumerate(delta.ambient)}

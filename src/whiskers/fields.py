@@ -42,10 +42,6 @@ class FieldSpec:
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"characteristic must be prime, got {self.p}")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
     def __str__(self) -> str:
         return "QQ" if self.p is None else f"F{self.p}"
 

@@ -202,13 +202,6 @@ def _subset_masks(n: int, width: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _up_closure(bits: int, masks: tuple[int, ...]) -> int:
-    """The supersets of the subsets whose bits are set (width 1)."""
-    for b, m in enumerate(masks):
-        bits |= (bits & m) << (1 << b)
-    return bits
-
-
 def _byte_table(bits: int, size: int) -> bytes:
     """Bits 0 .. size-1 as one 0/1 byte each."""
     return format(bits, f"0{size}b").encode()[::-1].translate(_ASCII_BITS)
@@ -227,27 +220,29 @@ def _restriction_homology(w: int, nonface: bytes, faces: int,
     family.  Both families are closed under subsets, so the walk goes level
     by level, one face size at a time, from the empty set, adding support
     bits in increasing order; on the dual side it holds the complement
-    W - S and clears them instead.  The order depends only on the family, so
-    the list is a cache key for every W whose family is the same complex,
+    W - S and clears them instead.  Either way a set t held is in the
+    family when nonface[t] == dual.  The order depends only on the family,
+    so the list is a cache key for every W whose family is the same complex,
     whatever vertices of W lie in none of its faces.
     """
     nw = w.bit_count()
     dual = 2 * faces > 1 << nw
+    origin = w if dual else 0
     bits = []
     rest = w
     while rest:
         low = rest & -rest
         rest ^= low
-        if nonface[w ^ low] if dual else not nonface[low]:
+        if nonface[origin ^ low] == dual:
             bits.append(low)
     found = [0]
-    level = [(w if dual else 0, 0, 0)]
+    level = [(origin, 0, 0)]
     while level:
         grown = []
         for s, local, start in level:
             for i in range(start, len(bits)):
                 t = s ^ bits[i]
-                if nonface[t] if dual else not nonface[t]:
+                if nonface[t] == dual:
                     found.append(local | 1 << i)
                     grown.append((t, local | 1 << i, i + 1))
         level = grown
@@ -282,26 +277,28 @@ def _subset_tables(gens: tuple[int, ...],
     The generators inside W are counted up to three by one carry-save pass:
     ``up`` is the supersets of a generator, the AND of the subsets holding
     each of its vertices, and it carries into ``twice`` where ``once`` is
-    set and into ``thrice`` where ``twice`` is.  Contributing is the AND over
-    vertices b of "b not in W, or W contains a generator holding b".
+    set and into ``thrice`` where ``twice`` is; the pass also ORs it into
+    ``covered[b]`` for each vertex b of the generator.
     """
     size = 1 << n
     full = (1 << size) - 1
     masks = _subset_masks(n, 1)
     holding = [full ^ m for m in masks]  # the W that hold vertex b
+    covered = [0] * n  # the W that contain a generator holding vertex b
     once = twice = thrice = 0
     for g in gens:
+        vertices = [b for b in range(g.bit_length()) if g >> b & 1]
         up = full
-        for b in range(g.bit_length()):
-            if g >> b & 1:
-                up &= holding[b]
+        for b in vertices:
+            up &= holding[b]
+        for b in vertices:
+            covered[b] |= up
         thrice |= twice & up
         twice |= once & up
         once |= up
     contributing = full ^ 1  # W = 0 never contributes
     for b in range(n):
-        holders = sum(1 << m for m in gens if m >> b & 1)
-        contributing &= masks[b] | _up_closure(holders, masks)
+        contributing &= masks[b] | covered[b]
 
     nbytes = n // 8 + 1
     packed = bytearray(nbytes * size)
@@ -461,8 +458,9 @@ def _linear_quotients(gens: tuple[int, ...], budget: int) -> bool:
 
     The order grows a prefix P by the first generator g left whose colon
     P : g is generated by variables.  Over squarefree masks P : g is
-    generated by the differences p - g, so every difference of more than
-    one vertex must meet one of a single vertex.  Each difference counts
+    generated by the differences p - g, so every p in P must meet
+    ``singles``, the union of the one-vertex differences: it lies outside
+    g, and a one-vertex difference always meets it.  Each difference counts
     against ``budget``; False means the order was not found in it, or at
     all, and says nothing about the ideal.
     """
@@ -472,14 +470,15 @@ def _linear_quotients(gens: tuple[int, ...], budget: int) -> bool:
             budget -= len(placed)
             if budget < 0:
                 return False
-            singles, wide = 0, []
+            singles = 0
             for p in placed:
                 d = p & ~g
-                if d & (d - 1):
-                    wide.append(d)
-                else:
+                if not d & (d - 1):
                     singles |= d
-            if all(d & singles for d in wide):
+            for p in placed:
+                if not p & singles:
+                    break
+            else:  # every placed generator meets singles
                 placed.append(rest.pop(at))
                 break
         else:

@@ -61,6 +61,11 @@ def test_void_complex_rejected():
         with pytest.raises(ComplexError) as err:
             fn(void)
         assert str(err.value) == message, fn.__name__
+    # so does the replay, even of the one-leaf tree, which accepts one facet
+    with pytest.raises(ComplexError) as err:
+        verify_certificate(SimplicialComplex("ab", []),
+                           VDCertificate(True, tree=("simplex",)))
+    assert str(err.value) == "void complex: vertex decomposability undefined"
 
 
 def test_c6_not_vd_but_whiskered_is():

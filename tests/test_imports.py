@@ -69,3 +69,20 @@ def test_runtime_imports_only_the_standard_library():
     outside = [(path.name, line, name) for path in sorted(PACKAGE.glob("*.py"))
                for line, name in _outside_stdlib(path.read_text(encoding="utf-8"))]
     assert outside == []
+
+
+def test_every_private_helper_is_used():
+    """No helpers that nothing uses: each module-level private function or
+    class of the package is named somewhere in it as a Name or an
+    Attribute; being imported does not count."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    private = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_")}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert private
+    assert sorted(private - used) == []
