@@ -453,16 +453,35 @@ def betti_closed_pi(g: Graph, spec, i: int, k: FieldSpec = GF2) -> ClosedFormBet
     return ClosedFormBetti(i, oracle, formula)
 
 
+def _linear_step(placed: list[int], g: int) -> bool:
+    """True when the colon (placed) : g is generated by variables.
+
+    Over squarefree masks it is generated by the differences p - g, so
+    every p in ``placed`` must meet ``singles``, the union of the one-vertex
+    differences: it lies outside g, and a one-vertex difference always
+    meets it.  On complements of facets, p = V - F_i and g = V - F_j, the
+    difference p - g is F_j - F_i, so this is also the shelling step: F_j
+    extends a shelling F_1, ..., F_{j-1} exactly when each F_j - F_i
+    contains some F_j - F_k of one vertex (Bjorner-Wachs 1996).
+    """
+    singles, out = 0, ~g
+    for p in placed:
+        d = p & out
+        if not d & (d - 1):
+            singles |= d
+    for p in placed:
+        if not p & singles:
+            return False
+    return True
+
+
 def _linear_quotients(gens: tuple[int, ...], budget: int) -> bool:
     """True when a greedy order of the generators has linear quotients.
 
-    The order grows a prefix P by the first generator g left whose colon
-    P : g is generated by variables.  Over squarefree masks P : g is
-    generated by the differences p - g, so every p in P must meet
-    ``singles``, the union of the one-vertex differences: it lies outside
-    g, and a one-vertex difference always meets it.  Each difference counts
-    against ``budget``; False means the order was not found in it, or at
-    all, and says nothing about the ideal.
+    The order grows a prefix P by the first generator g left that passes
+    ``_linear_step``.  Each of its differences p - g counts against
+    ``budget``; False means the order was not found in it, or at all, and
+    says nothing about the ideal.
     """
     placed, rest = [gens[0]], list(gens[1:])
     while rest:
@@ -470,15 +489,7 @@ def _linear_quotients(gens: tuple[int, ...], budget: int) -> bool:
             budget -= len(placed)
             if budget < 0:
                 return False
-            singles = 0
-            for p in placed:
-                d = p & ~g
-                if not d & (d - 1):
-                    singles |= d
-            for p in placed:
-                if not p & singles:
-                    break
-            else:  # every placed generator meets singles
+            if _linear_step(placed, g):
                 placed.append(rest.pop(at))
                 break
         else:

@@ -108,6 +108,13 @@ def trivial_spec(g: Graph) -> PartitionSpec:
     return default_spec(g, [(v,) for v in g.vertices])
 
 
+def _whisker_graphs(spec: PartitionSpec) -> list[tuple[str, Graph]]:
+    """(label, graph) for each whisker graph, A1, A2, ... then B1, B2, ...,
+    passing over the None of a single-clique cluster."""
+    return ([(f"A{i + 1}", a) for i, a in enumerate(spec.whisker_a) if a is not None]
+            + [(f"B{j + 1}", b) for j, b in enumerate(spec.whisker_b) if b is not None])
+
+
 def validate_partitions(g: Graph, spec: PartitionSpec) -> list[str]:
     """All spec invariants; returns a list of violations (empty = ok)."""
     bad: list[str] = []
@@ -160,10 +167,7 @@ def validate_partitions(g: Graph, spec: PartitionSpec) -> list[str]:
     if len(spec.whisker_b) != len(spec.clusters):
         bad.append("whisker_b must align with the cluster list")
     taken = set(g.vertices)
-    for name, wg in ([(f"A{i + 1}", a) for i, a in enumerate(spec.whisker_a)]
-                     + [(f"B{j + 1}", b) for j, b in enumerate(spec.whisker_b)]):
-        if wg is None:
-            continue
+    for name, wg in _whisker_graphs(spec):
         if not wg.vertices:
             bad.append(f"whisker graph {name} is empty")
         for v in wg.vertices:
@@ -210,11 +214,8 @@ def _check_kind(spec: PartitionSpec, kind: str) -> list[str]:
         return [f"kind={kind} does not fit a spec of kind {derived}"]
     if kind != "md":
         return []
-    labelled = ([(f"A{i + 1}", a) for i, a in enumerate(spec.whisker_a)]
-                + [(f"B{j + 1}", b) for j, b in enumerate(spec.whisker_b)
-                   if b is not None])
     return [f"kind=md whisker graph {label} is not vertex decomposable"
-            for label, h in labelled if not is_vd_graph(h)]
+            for label, h in _whisker_graphs(spec) if not is_vd_graph(h)]
 
 
 def _check(g: Graph, spec: PartitionSpec, kind: str) -> None:

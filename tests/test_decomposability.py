@@ -5,7 +5,7 @@ import random
 import time
 import tracemalloc
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -843,13 +843,98 @@ def test_vd_implies_shellable():
                                for fk in order[:j])
 
 
+def _is_shelling(order):
+    """The definition (Bjorner-Wachs 1996): each facet after the first
+    meets the complex of the earlier ones in a pure complex one dimension
+    lower, so every maximal intersection with an earlier facet misses
+    exactly one of its vertices."""
+    for j in range(1, len(order)):
+        meets = [order[j] & f for f in order[:j]]
+        if any(len(order[j] - m) != 1 for m in meets
+               if not any(m < u for u in meets)):
+            return False
+    return True
+
+
+def test_shellable_verdict_matches_every_order():
+    """On every complex of at most 4 vertices, so at most 6 facets, among
+    the seeded complexes, which hold every antichain, is_shellable returns
+    None exactly when no order of the facets is a shelling by the
+    definition, and otherwise an order of the facets that is one.  Ind(C4),
+    two disjoint edges, has none."""
+    c4 = independence_complex(cycle_graph(["a", "b", "c", "d"]))
+    cases = [c for c in seeded_complexes()
+             if len(c.ambient) <= 4 and not c.is_void] + [c4]
+    verdicts = {True: 0, False: 0}
+    for c in cases:
+        order = is_shellable(c)
+        exists = any(_is_shelling(p) for p in permutations(c.facets))
+        assert (order is not None) == exists, c.facet_tuples()
+        if order is not None:
+            assert sorted(order) == sorted(c.facet_tuples())
+            assert _is_shelling([frozenset(f) for f in order]), order
+        verdicts[exists] += 1
+    assert is_shellable(c4) is None
+    assert verdicts == {True: 381, False: 4}
+
+
+def _shelling_by_names(c, bound):
+    """A backtracking over facets as frozensets of names, trying them in
+    the order of c.facets and each set of placed facets once: its first
+    order, None, or the text of its refusal past ``bound`` facets."""
+    facets = list(c.facets)
+    t = len(facets)
+    if t > bound:
+        return f"{t} facets exceeds the shelling bound {bound}"
+    seen = set()
+
+    def extends(chosen, j):
+        fj = facets[j]
+        ones = [k for k in chosen if len(fj - facets[k]) == 1]
+        return all(any(fj - facets[k] <= fj - facets[i] for k in ones)
+                   for i in chosen)
+
+    def search(order):
+        if len(order) == t:
+            return order
+        if frozenset(order) in seen:
+            return None
+        seen.add(frozenset(order))
+        for j in range(t):
+            if j not in order and extends(order, j):
+                hit = search(order + (j,))
+                if hit is not None:
+                    return hit
+        return None
+
+    hit = search(())
+    return None if hit is None else [c.facet_tuples()[j] for j in hit]
+
+
+def test_shellable_matches_the_name_level_search():
+    """The same first order, the same None and the same refusal as a
+    backtracking on names, on every antichain of at most 5 vertices and on
+    seeded random complexes and Ind of seeded builds."""
+    bound = decomposability.DEFAULT_SHELLING_FACET_BOUND
+    seen = {"order": 0, "none": 0, "refused": 0}
+    for c in (c for c in seeded_complexes() if not c.is_void):
+        try:
+            got = is_shellable(c)
+        except ResourceLimit as err:
+            got = str(err)
+        assert got == _shelling_by_names(c, bound), c.facet_tuples()
+        seen["order" if isinstance(got, list) else
+             "none" if got is None else "refused"] += 1
+    assert seen == {"order": 7511, "none": 694, "refused": 9}
+
+
 def test_shelling_resource_limit(monkeypatch):
     g = random_graph(random.Random(1), 10, 0.2)
     c = independence_complex(g)
+    assert len(c.facets) == 10
     monkeypatch.setattr(decomposability, "DEFAULT_SHELLING_FACET_BOUND", 3)
-    if len(c.facets) > 3:
-        with pytest.raises(ResourceLimit):
-            is_shellable(c)
+    with pytest.raises(ResourceLimit, match="^10 facets exceeds the shelling bound 3$"):
+        is_shellable(c)
 
 
 def test_unmixed():
