@@ -8,7 +8,11 @@ run on machine words / Python ints.
 The graph engine `_vd` decides vertex decomposability of Ind(G[u]) on
 vertex masks within VD_GRAPH_NODE_BOUND, and lists no maximal independent
 set.  `_witness` is its one (beta) test, Woodroofe's dominated neighbour
-(2009, Lemma 6) included, and `_vd` gives its rules.  The engine answers
+(2009, Lemma 6) included, and `_vd` gives its rules.  Its first rule needs
+no search: when every vertex lies in the closed neighbourhood of a
+simplicial vertex, as in every pi build, whose whiskers are simplicial, the
+complex is VD (the fully clique-whiskered graphs of Cook-Nagel 2012 are a
+special case).  The engine answers
 `is_vd_graph`, and `decomposability.shedding_vertices` on a flag complex,
 which asks `_witness` for (beta) too, as does `decomposability._walk`,
 which certifies flag complexes.  `ideals.betti_recursive_cover` folds the
@@ -175,11 +179,24 @@ def _vd(adj: tuple[int, ...], u: int, memo: _Memo) -> int:
 
     It is 0 when the complex is not VD, and True when no edge is left.  An
     isolated vertex is a cone point, and a cone is VD exactly when its base
-    is, so the memo key is ``u`` without them.  Separate components give a
-    join, VD exactly when each part is (Provan-Billera); the split is then
-    the lowest vertex's component.  Otherwise it is the bit of an x where
-    Ind(G[u] - x) and Ind(G[u] - N[x]) are VD and (beta) holds, trying x
-    by descending degree in G[u].  `_witness` decides (beta); a neighbour y
+    is, so the memo key is ``u`` without them.
+
+    When every vertex of G[u] lies in N[s] for a simplicial vertex s of
+    G[u], the split is the lowest neighbour x of the first such s that
+    `_covered_by_simplicial` finds, and no search runs.  By induction on
+    |u| this is VD, with x a shedding vertex:
+    - x sheds, as N[s] lies inside N[x] (Woodroofe 2009, Lemma 6);
+    - G[u] - x keeps the property: a vertex that only x covers makes x
+      simplicial, and x is adjacent to s, so N[x] = N[s] and s covers it;
+    - G[u] - N[x] keeps it: a simplicial s' in N[x] has N[s'] inside N[x],
+      so whatever s' covered is gone too.
+    The split is one vertex even when G[u] is disconnected.
+
+    Otherwise separate components give a join, VD exactly when each part
+    is (Provan-Billera); the split is then the lowest vertex's component.
+    Failing that, it is the bit of an x where Ind(G[u] - x) and
+    Ind(G[u] - N[x]) are VD and (beta) holds, trying x by descending
+    degree in G[u].  `_witness` decides (beta); a neighbour y
     with N[y] inside N[x], which makes (beta) hold (Woodroofe 2009, Lemma
     6), ends its first scan.  Where (beta) holds the link Ind(G[u] - N[x])
     is decided first: a link of a VD complex is VD, so one that is not
@@ -193,6 +210,10 @@ def _vd(adj: tuple[int, ...], u: int, memo: _Memo) -> int:
     if known is not None:
         return known
     memo.spend()
+    split = _covered_by_simplicial(adj, u)
+    if split:
+        memo[u] = split
+        return split
     comp = _component(adj, u, (u & -u).bit_length() - 1)
     if comp != u:
         split = comp if _vd(adj, comp, memo) and _vd(adj, u ^ comp, memo) else 0
@@ -217,6 +238,46 @@ def _vd(adj: tuple[int, ...], u: int, memo: _Memo) -> int:
             split = bit
             break
     memo[u] = split
+    return split
+
+
+def _covered_by_simplicial(adj: tuple[int, ...], u: int) -> int:
+    """The lowest neighbour of the first simplicial vertex found, when every
+    vertex of G[u] lies in N[s] for a simplicial vertex s of G[u]; else 0.
+
+    The scan takes the vertices lowest first.  At each uncovered vertex it
+    tests the candidates s in its closed neighbourhood not tested before:
+    one that was is not simplicial, or it would have covered the vertex.
+    N(s) is a clique when no t in it misses another vertex of it.  The
+    scan stops at the first uncovered vertex with no simplicial vertex in
+    its closed neighbourhood.  ``u`` has no isolated vertex, so each
+    simplicial vertex has a neighbour.
+    """
+    covered = tried = split = 0
+    rest = u
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if covered & low:
+            continue
+        cand = (adj[low.bit_length() - 1] & u | low) & ~tried
+        while cand:
+            s = cand & -cand
+            cand ^= s
+            tried |= s
+            near = adj[s.bit_length() - 1] & u
+            others = near
+            while others:
+                t = others & -others
+                if near & ~adj[t.bit_length() - 1] != t:
+                    break
+                others ^= t
+            else:  # N(s) is a clique
+                covered |= near | s
+                split = split or near & -near
+                break
+        else:  # no simplicial vertex in N[low]
+            return 0
     return split
 
 

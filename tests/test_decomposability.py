@@ -352,13 +352,31 @@ def test_graph_and_complex_vd_agree(monkeypatch):
     assert sum(len(g.components()) >= 3 for g in cases) >= 60
 
 
+def _with_pendants(g, rng):
+    """g with a pendant vertex hung on about a third of its vertices."""
+    hung = [v for v in g.vertices if rng.random() < 0.35]
+    return Graph(g.vertices + tuple(f"p{v}" for v in hung),
+                 [tuple(e) for e in g.edges] + [(v, f"p{v}") for v in hung])
+
+
+def _simplicial_cover(h):
+    """Whether every vertex of h lies in N[s] for a simplicial vertex s,
+    by names; and h's simplicial vertices."""
+    simplicial = {v for v in h.vertices if h.is_clique(h.neighbors(v))}
+    covered = set().union(*(h.closed_neighborhood(s) for s in simplicial))
+    return covered == set(h.vertices), simplicial
+
+
 def test_every_recorded_split_is_valid():
     """Each split in the engine's memo against the references `_split` and
     `is_vd_brute_force`, on the graphs above, seeded graphs of up to 10
-    vertices and md builds, whole and without their base vertices.  At a
-    shed vertex x, (beta) holds on Ind(G[u]) and the deletion and link are
-    VD; a split of several vertices is a union of components of G[u], so no
-    edge of G[u] crosses it; and a node recorded 0 is not VD."""
+    vertices, the same with pendant vertices, and pi, cc, mc and md builds,
+    the md ones whole and without their base vertices.  At a shed vertex x,
+    (beta) holds on Ind(G[u]) and the deletion and link are VD; a split of
+    several vertices is a union of components of G[u], so no edge of G[u]
+    crosses it; and a node recorded 0 is not VD.  Where every vertex of
+    G[u] lies in N[s] for a simplicial s, the split is a neighbour of a
+    simplicial vertex, as the simplicial-cover rule records."""
     rng = random.Random(29)
     cases = [_seven_vertex_graph(), _nine_vertex_graph()]
     cases += [random_graph(rng, rng.randint(2, 10), rng.uniform(0.15, 0.7))
@@ -366,6 +384,15 @@ def test_every_recorded_split_is_valid():
     builds = [random_build(rng, "md", 6, 12) for _ in range(20)]
     cases += [w.graph for w in builds]
     cases += [w.graph.delete_vertices(w.base.vertices) for w in builds]
+    cases += [random_build(rng, kind, 6, 12).graph
+              for kind in ("pi", "cc", "mc", "md") * 5]
+    cases += [_with_pendants(random_graph(rng, rng.randint(3, 7),
+                                          rng.uniform(0.2, 0.7)), rng)
+              for _ in range(40)]
+    c5 = cycle_graph([f"c{i}" for i in range(5)])  # VD, nothing simplicial
+    cases += [c5.disjoint_union(random_graph(rng, rng.randint(4, 7),
+                                             rng.uniform(0.3, 0.8)))
+              for _ in range(30)]
     brute = {}
 
     def vd(facets):
@@ -375,12 +402,17 @@ def test_every_recorded_split_is_valid():
                 sorted(set().union(*key)), key))
         return brute[key]
 
-    sheds = products = refuted = 0
+    sheds = products = refuted = covers = 0
     for g in cases:
         memo = graph._Memo()
         graph._vd(g._adj, (1 << len(g.vertices)) - 1, memo)
         for u, split in memo.items():
             h = g._induce_mask(u)
+            cover, simplicial = _simplicial_cover(h)
+            if cover:
+                assert split and split & (split - 1) == 0
+                assert h.neighbors(g.vertices[split.bit_length() - 1]) & simplicial
+                covers += 1
             if not split:
                 assert not vd(independence_complex(h).facets)
                 refuted += 1
@@ -395,7 +427,37 @@ def test_every_recorded_split_is_valid():
                 assert parts is not None
                 assert vd(parts[0]) and vd(parts[1])
                 sheds += 1
-    assert sheds >= 400 and products >= 40 and refuted >= 40
+    assert sheds >= 400 and products >= 40 and refuted >= 40 and covers >= 350
+
+
+def test_vd_graph_matches_the_walk():
+    """`is_vd_graph` against the graph walk of `is_vertex_decomposable`,
+    which never calls `_vd`: seeded pi, cc, mc and md builds of up to 16
+    vertices, and seeded graphs with pendant vertices, most of which the
+    simplicial-cover rule cannot decide at the root.  Some of those lie
+    beside C4, C6, C7 or C8, so they have a simplicial vertex and are not
+    VD."""
+    rng = random.Random("simplicial-cover")
+    builds = [random_build(rng, kind, 8, 16).graph
+              for kind in ("pi", "cc", "mc", "md") * 15]
+    pendants = [_with_pendants(random_graph(rng, rng.randint(4, 10),
+                                            rng.uniform(0.2, 0.6)), rng)
+                for _ in range(80)]
+    pendants += [cycle_graph([f"c{i}" for i in range(n)]).disjoint_union(
+                     _with_pendants(random_graph(rng, rng.randint(2, 5), 0.5),
+                                    rng))
+                 for n in (4, 6, 7, 8) * 5]
+    undecided = []
+    for g in builds + pendants:
+        verdict = is_vd_graph(g)
+        assert verdict == \
+            is_vertex_decomposable(independence_complex(g)).decomposable
+        if not _simplicial_cover(g)[0]:
+            undecided.append((verdict, any(g.degree(v) == 1 for v in g.vertices)))
+    assert max(len(g.vertices) for g in builds) == 16
+    assert len(undecided) >= 80
+    assert undecided.count((True, True)) >= 40
+    assert undecided.count((False, True)) >= 15
 
 
 def test_flag_shedding_matches_label_reference():
@@ -420,10 +482,29 @@ def test_flag_shedding_matches_label_reference():
         assert shedding_vertices(c, weak=True) == weak
 
 
-def test_shedding_on_large_pi_builds():
+def _recorded_memos(monkeypatch):
+    """The `_Memo`s that `decomposability` makes from now on."""
+    memos = []
+
+    class Recorded(graph._Memo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(decomposability, "_Memo", Recorded)
+    return memos
+
+
+def test_shedding_on_large_pi_builds(monkeypatch):
     """Every base vertex of a pi build sheds (Woodroofe 2009, Lemma 6) and
     no whisker vertex satisfies (beta).  Through the facet search, weak
-    mode took about 6 s on C18 and strong mode about 16 s."""
+    mode took about 6 s on C18 and strong mode about 16 s.  The work is
+    pinned too, as a clock alone is loose and slows under a tracer: weak
+    mode takes one `_witness` unit a vertex, and strong mode adds one
+    engine node for the whole graph and one for each base vertex's
+    deletion, which the simplicial-cover rule decides.  Searching them
+    took 563 and 688 units of work on C18 and C20."""
+    memos = _recorded_memos(monkeypatch)
     for n in (18, 20):
         g = cycle_graph([f"v{i}" for i in range(n)])
         c = independence_complex(build_whiskered(g, trivial_spec(g), "pi").graph)
@@ -431,20 +512,39 @@ def test_shedding_on_large_pi_builds():
         strong, weak = shedding_vertices(c), shedding_vertices(c, weak=True)
         assert time.process_time() - start < 3
         assert strong == weak == sorted(g.vertices)
+        assert [m.work for m in memos] == [3 * n + 1, 2 * n]
+        assert len(memos[0]) == n + 1 and not memos[1]
+        memos.clear()
+
+
+def test_pi_builds_take_one_engine_node():
+    """Each whisker of a pi build is simplicial, and its closed neighbourhood
+    holds its clique, so the simplicial-cover rule decides the build at the
+    root.  The engine searched 54, 102 and 134 nodes on the whiskered C10,
+    C16 and C20 without it.  The split is the lowest base vertex, the
+    lowest neighbour of the first whisker."""
+    for n in (10, 16, 20):
+        g = cycle_graph([f"v{i}" for i in range(n)])
+        w = build_whiskered(g, trivial_spec(g), "pi")
+        memo = graph._Memo()
+        assert graph._vd(w.graph._adj, (1 << 2 * n) - 1, memo) == 1
+        assert memo.work == 1 and memo == {(1 << 2 * n) - 1: 1}
 
 
 def test_vd_graph_node_budget(monkeypatch):
     """The engine's work is bounded by VD_GRAPH_NODE_BOUND, with a one-line
-    message that names the bound."""
+    message that names the bound.  C10 has no simplicial vertex, so the
+    simplicial-cover rule never decides it: the engine refutes it in 21
+    units of work."""
     g = cycle_graph([f"v{i}" for i in range(10)])
-    w = build_whiskered(g, trivial_spec(g), "pi")
-    assert is_vd_graph(w.graph)
+    memo = graph._Memo()
+    assert not graph._vd(g._adj, (1 << 10) - 1, memo) and memo.work == 21
     monkeypatch.setattr(graph, "VD_GRAPH_NODE_BOUND", 10)
     message = "^11 graph VD nodes exceeds the graph VD node bound 10$"
     with pytest.raises(ResourceLimit, match=message):
-        is_vd_graph(w.graph)
+        is_vd_graph(g)
     with pytest.raises(ResourceLimit, match=message):
-        shedding_vertices(independence_complex(w.graph))
+        shedding_vertices(independence_complex(g))
 
 
 def _k_n_and_two_edges(n):
